@@ -1,0 +1,97 @@
+"""Golden bytes: sha256 digests of trained models, codes and R/J histories.
+
+Each case trains a small seeded model and hashes three outputs: the saved
+model file, the packed codes from encode_matrix, and the per-iteration
+history written with 17 significant digits (as `hdhash train` prints it).
+The digests were recorded before any training kernel was rewritten, so a
+kernel change that moves a single bit of any output fails here. A digest
+must never be re-pinned to make a rewrite pass.
+
+eps_sae = eps_rbm = 0 with one allowed repeat makes every interior
+iteration re-run both stages, so the repeat passes are covered too.
+"""
+import hashlib
+
+import numpy as np
+import pytest
+
+from hdhash.features import FeatureMatrix, normalize
+from hdhash.pipeline import TrainingConfig, encode_matrix, save_model, train
+
+GOLDEN = {
+    "cd1-batch-paper": dict(
+        config=dict(cd_steps=1, decorrelation_mode="batch", init_mode="paper"),
+        model="eb2a272e17279954c4a7dc7de72d2b079dcb1b865b1a462891450673eb1e4939",
+        codes="c4d67abff8da198eb59f27a850e7ea86c6fb96ad7f9038d3901f695739569ea3",
+        history="36186c0789ec041e9a285b8c8d7474f9d0857ba1fad3fa2549e46bd0f1586596",
+    ),
+    "cd3-per_sample-symmetric": dict(
+        config=dict(cd_steps=3, decorrelation_mode="per_sample",
+                    init_mode="symmetric"),
+        model="dc4f1c59e306958fc0207b76f29ac5d381577918259077734cd5f0a190efaf53",
+        codes="000fb779cfb23f508ea6827d7fd693b46d8e5636c92ccdcd50ab873d9094d97d",
+        history="4c2741310404a9644f319f150247bbe2f4c79d03a75e2815037eac67a7d0e789",
+    ),
+    "cd1-per_sample-paper": dict(
+        config=dict(cd_steps=1, decorrelation_mode="per_sample", init_mode="paper"),
+        model="eb006dab56a5862807025630c93a80e82642957d0f2f45a829b0af701595879f",
+        codes="1e3cbc58a46e54ef58ff4654da6bc196577b915b11d953c0767b06853eeb87ed",
+        history="04be7bec613e4f6426bfdb6d7809c892ffcaeea478d3a6163758311b4df87771",
+    ),
+    "cd3-batch-symmetric-96b": dict(
+        config=dict(cd_steps=3, decorrelation_mode="batch", init_mode="symmetric",
+                    code_bits=96),
+        model="4b45fa4d24fbe766658b1ab2a6943d11e0f48d32e81d6aa7f039ea9039e2d421",
+        codes="05e91f07369b7c06a471084caeedfa296ed1de411aed64659eaa9e0dd8e8510b",
+        history="c672d1e632af243ec15a5967340fcdd02c9f63caf7e037a43562b09fb4f6b50d",
+    ),
+    "cd5-batch-paper-32b-wide": dict(
+        config=dict(cd_steps=5, decorrelation_mode="batch", init_mode="paper",
+                    layer_dims=(16, 24), code_bits=32, epochs=2, batch_size=100),
+        model="43b42bbddb141ce59fb1edf16dba67e3bf777b1b5518d5bb15521bf235400898",
+        codes="155e437b946ac82ae591ff382b8d19efda9397b2282672dbabd91ec31ce8a651",
+        history="de9c60077b8b14903c7578c059284b9ff1fabd30cef051a8968e295f7f27939b",
+    ),
+}
+
+
+def golden_data(seed=7, rows=240, dim=16, classes=4):
+    gen = np.random.default_rng(seed)
+    centres = gen.normal(0.0, 2.0, size=(classes, dim))
+    labels = gen.integers(0, classes, size=rows)
+    values = centres[labels] + gen.normal(size=(rows, dim))
+    return normalize(FeatureMatrix(values, labels))
+
+
+def golden_config(**overrides):
+    base = dict(layer_dims=(16, 12, 8), code_bits=8, epochs=4, batch_size=40,
+                seed=3, outer_iters=3, eps_sae=0.0, eps_rbm=0.0,
+                max_repeats_per_iter=1)
+    base.update(overrides)
+    return TrainingConfig(**base)
+
+
+def _sha(blob: bytes) -> str:
+    return hashlib.sha256(blob).hexdigest()
+
+
+def digests(config: TrainingConfig, tmp_path) -> dict[str, str]:
+    data = golden_data()
+    model, history = train(config, data)
+    path = tmp_path / "model.hdhm"
+    save_model(model, path)
+    codes = encode_matrix(model, data.values).astype("<u8")
+    lines = "".join(
+        f"{rec.iteration} {rec.sae_objective:.17g} {rec.rbm_objective:.17g} "
+        f"{rec.sae_repeats} {rec.rbm_repeats}\n"
+        for rec in history
+    )
+    return {"model": _sha(path.read_bytes()), "codes": _sha(codes.tobytes()),
+            "history": _sha(lines.encode("ascii"))}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_bytes(name, tmp_path):
+    case = GOLDEN[name]
+    got = digests(golden_config(**case["config"]), tmp_path)
+    assert got == {key: case[key] for key in ("model", "codes", "history")}
