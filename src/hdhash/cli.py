@@ -172,8 +172,7 @@ def cmd_eval_pr(codes_path, features_path, mode, gt_n, out_csv,
         queries = [index.code(i) for i in range(index.size)]
         table = search.pr_table(index, queries, truth, exclude_ids=rows)
         search.write_pr_csv(out_csv, table)
-        curve = search.precision_recall(index, queries, truth, exclude_ids=rows)
-        area = search.auc(curve)
+        area = search.auc(search.curve_from_table(table))
         return _ok(f"status=ok pr_csv={out_csv} auc={area:.17g} mode={mode} "
                    f"queries={data.rows}")
 

@@ -28,6 +28,13 @@ def _pad_mask(n_bits: int) -> int:
     return (1 << rem) - 1
 
 
+def pad_bits_set(words: np.ndarray, n_bits: int) -> bool:
+    """True if any row of an N x words_per_code(n_bits) word matrix has a
+    set pad bit in its last word (such a row gives wrong distances)."""
+    pad = ~_pad_mask(n_bits) & 0xFFFFFFFFFFFFFFFF
+    return bool(pad) and bool(np.any(words[:, -1] & np.uint64(pad)))
+
+
 @dataclass(frozen=True)
 class HashCode:
     """A fixed-length binary code packed into uint64 words."""
@@ -44,7 +51,7 @@ class HashCode:
                 f"expected {words_per_code(self.n_bits)} words for {self.n_bits} bits, "
                 f"got shape {w.shape}"
             )
-        if int(w[-1]) & ~_pad_mask(self.n_bits) & 0xFFFFFFFFFFFFFFFF:
+        if pad_bits_set(w.reshape(1, -1), self.n_bits):
             raise DomainError("trailing pad bits must be zero")
         w.flags.writeable = False
         object.__setattr__(self, "words", w)

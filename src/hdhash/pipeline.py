@@ -305,9 +305,10 @@ def _sae_batch_step(layers, x, config, t):
                               config.decorrelation_mode)
         layer = sae_ops.sgd_step(layer, g, config.alpha)
         layers[li] = layer
-        total += sae_ops.objective(layer, inp, config.lam, config.mu,
-                                   config.decorrelation_mode)
-        inp = sae_ops.forward(layer, inp)
+        # The post-update objective pass already yields the next layer's input.
+        r, inp = sae_ops.objective(layer, inp, config.lam, config.mu,
+                                   config.decorrelation_mode, return_output=True)
+        total += r
     _check_finite_sae(layers, total, t)
     return total, inp
 

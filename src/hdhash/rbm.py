@@ -72,8 +72,9 @@ class RbmGradients:
 
 @dataclass(frozen=True)
 class GibbsStats:
-    """Bookkeeping from one chain: sample counts and the conditionals
-    P(h=1 | .) at the start and end states."""
+    """Bookkeeping from one gibbs_chain call: samples drawn per chain and
+    the conditionals P(h=1 | .) at the start and end states (one row per
+    chain when the chain ran on a matrix)."""
 
     h_samples: int
     v_samples: int
@@ -145,27 +146,37 @@ def free_energy(rbm: Rbm, v) -> np.ndarray:
 def gibbs_chain(rbm: Rbm, v0, rng, steps: int | None = None) -> tuple[np.ndarray, GibbsStats]:
     """Alternate h ~ P(h|v), v ~ P(v|h) for `steps` rounds (default cd_steps).
 
-    Deterministic for a fixed seed. Returns the final visible state and the
-    conditionals needed by the CD estimator.
+    v0 is one start vector or a matrix of start rows; all rows advance
+    together. Row i has its own stream, default_rng(master ^ i), with master
+    the int seed rng (or one drawn from a Generator), so a row's chain does
+    not depend on the other rows, and a single vector with seed s runs on
+    default_rng(s). Each step draws h_dim uniforms for the hidden sample,
+    then v_dim for the visible one. Returns the final visible state, shaped
+    like v0, and the conditionals P(h=1 | .) at the start and end states.
     """
     v0 = _check_binary(v0, rbm.v_dim, "start state")
-    if v0.ndim != 1:
-        raise ShapeError("gibbs_chain takes a single start vector")
     if steps is None:
         steps = rbm.cd_steps
     if steps < 0:
         raise ConfigError(f"steps must be >= 0, got {steps}")
-    gen = np.random.default_rng(rng)
-    p_h_start = prob_h_given_v(rbm, v0)
-    v = v0
+    rows = np.atleast_2d(v0)
+    h_dim = rbm.h_dim
+    master = _master_seed(rng)
+    u = np.empty((rows.shape[0], steps, h_dim + rbm.v_dim))
+    for i in range(rows.shape[0]):
+        np.random.default_rng(master ^ i).random(out=u[i])
+    w_t = rbm.w.T
+    p_h_start = _sigmoid(rows @ w_t + rbm.hid_bias)
+    v = rows
     p_h = p_h_start
-    for _ in range(steps):
-        h = (gen.random(rbm.h_dim) < p_h).astype(np.float64)
-        p_v = prob_v_given_h(rbm, h)
-        v = (gen.random(rbm.v_dim) < p_v).astype(np.float64)
-        p_h = prob_h_given_v(rbm, v)
-    stats = GibbsStats(steps, steps, p_h_start, p_h)
-    return v, stats
+    for step in range(steps):
+        h = (u[:, step, :h_dim] < p_h).astype(np.float64)
+        p_v = _sigmoid(h @ rbm.w + rbm.vis_bias)
+        v = (u[:, step, h_dim:] < p_v).astype(np.float64)
+        p_h = _sigmoid(v @ w_t + rbm.hid_bias)
+    if v0.ndim == 1:
+        v, p_h_start, p_h = v[0], p_h_start[0], p_h[0]
+    return v, GibbsStats(steps, steps, p_h_start, p_h)
 
 
 def surrogate_hidden(rbm: Rbm, v) -> np.ndarray:
@@ -232,6 +243,8 @@ def penalty_gradients(rbm: Rbm, batch, lam: float, mu: float,
 
 def _master_seed(rng) -> int:
     if isinstance(rng, (int, np.integer)):
+        if rng < 0:
+            raise ConfigError(f"chain seed must be >= 0, got {rng}")
         return int(rng)
     gen = np.random.default_rng(rng)
     return int(gen.integers(0, 2 ** 63))
@@ -244,19 +257,15 @@ def cd_gradients_with_stats(rbm: Rbm, batch, lam: float, mu: float,
 
     The likelihood part is the negative-phase/positive-phase difference
     summed over the batch, oriented so that subtracting alpha * grad raises
-    data likelihood. Each row's chain uses an independent stream seeded with
-    master_seed XOR row_index, so results do not depend on scheduling.
-    steps=0 pins the chain end to the data (a test hook: the likelihood part
-    cancels exactly).
+    data likelihood. All rows' chains run as one gibbs_chain call; each row
+    keeps an independent stream seeded with master_seed XOR row_index, so
+    results do not depend on batching or scheduling. steps=0 pins the chain
+    end to the data (a test hook: the likelihood part cancels exactly).
     """
     _check_penalties(lam, mu, decorrelation_mode)
     batch = _check_binary(np.atleast_2d(batch), rbm.v_dim, "batch")
-    master = _master_seed(rng)
-    v_end = np.empty_like(batch)
-    for i, row in enumerate(batch):
-        v_end[i], _ = gibbs_chain(rbm, row, np.random.default_rng(master ^ i), steps)
-    p_h0 = _sigmoid(batch @ rbm.w.T + rbm.hid_bias)
-    p_hr = _sigmoid(v_end @ rbm.w.T + rbm.hid_bias)
+    v_end, chain = gibbs_chain(rbm, batch, rng, steps)
+    p_h0, p_hr = chain.p_h_start, chain.p_h_end
     d_w = p_hr.T @ v_end - p_h0.T @ batch
     d_a = (v_end - batch).sum(axis=0)
     d_b = (p_hr - p_h0).sum(axis=0)

@@ -128,8 +128,12 @@ def _passes(layer: SaeLayer, batch: np.ndarray):
 
 
 def objective(layer: SaeLayer, batch, lam: float, mu: float,
-              decorrelation_mode: str = "batch") -> float:
-    """Regularized reconstruction objective R for one batch."""
+              decorrelation_mode: str = "batch", return_output: bool = False):
+    """Regularized reconstruction objective R for one batch.
+
+    With return_output, returns (R, v): v is the layer output the objective
+    was evaluated on, equal to forward(layer, batch) bit for bit.
+    """
     _check_penalties(lam, mu, decorrelation_mode)
     batch, _ = _as_rows(np.atleast_2d(batch), layer.in_dim, "batch")
     n, q = batch.shape[0], layer.out_dim
@@ -143,7 +147,7 @@ def objective(layer: SaeLayer, batch, lam: float, mu: float,
     else:
         cov = v.T @ v / n
         r += 0.5 * mu * np.sum((cov - np.eye(q)) ** 2)
-    return float(r)
+    return (float(r), v) if return_output else float(r)
 
 
 def gradients(layer: SaeLayer, batch, lam: float, mu: float,

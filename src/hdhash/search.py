@@ -19,8 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import HashCode, hamming_words, words_per_code
-from .errors import ConfigError, DataError, FormatError, ShapeError, TruncationError
+from .codes import HashCode, hamming_words, pad_bits_set, words_per_code
+from .errors import (
+    ConfigError,
+    DataError,
+    DomainError,
+    FormatError,
+    ShapeError,
+    TruncationError,
+)
 from .features import FeatureMatrix
 
 CODES_MAGIC = b"HDHC"
@@ -44,11 +51,17 @@ class HammingIndex:
                 f"words must be N x {words_per_code(self.n_bits)} for "
                 f"{self.n_bits}-bit codes, got {words.shape}"
             )
+        if pad_bits_set(words, self.n_bits):
+            raise DomainError("trailing pad bits of every code must be zero")
         ids = np.asarray(self.ids, dtype=np.int64)
         if ids.shape != (words.shape[0],):
             raise ShapeError("ids must align with codes")
-        if len(np.unique(ids)) != len(ids):
-            raise DataError("ids must be unique")
+        # Strictly increasing ids (the common np.arange case) are unique
+        # without a sort.
+        if not np.all(ids[1:] > ids[:-1]):
+            ordered = np.sort(ids)
+            if np.any(ordered[1:] == ordered[:-1]):
+                raise DataError("ids must be unique")
         words.flags.writeable = False
         ids.flags.writeable = False
         object.__setattr__(self, "words", words)
@@ -220,13 +233,18 @@ def pr_table(index: HammingIndex, queries, truth, exclude_ids=None) -> list[PrPo
     return rows
 
 
-def precision_recall(index: HammingIndex, queries, truth, exclude_ids=None) -> PRCurve:
-    """PR curve over the radius sweep, one point per distinct mean recall."""
+def curve_from_table(table: list[PrPoint]) -> PRCurve:
+    """PR curve of a pr_table, one point per distinct mean recall."""
     points = []
-    for row in pr_table(index, queries, truth, exclude_ids):
+    for row in table:
         if not points or row.recall > points[-1][0]:
             points.append((row.recall, row.precision))
     return PRCurve(tuple(points))
+
+
+def precision_recall(index: HammingIndex, queries, truth, exclude_ids=None) -> PRCurve:
+    """PR curve over the radius sweep, one point per distinct mean recall."""
+    return curve_from_table(pr_table(index, queries, truth, exclude_ids))
 
 
 def auc(curve: PRCurve) -> float:
@@ -265,8 +283,14 @@ def read_codes_file(path) -> tuple[np.ndarray, int]:
     need = 12 + 8 * count * n_words
     if len(blob) < need:
         raise TruncationError(f"{path}: expected {need} bytes, got {len(blob)}")
+    if len(blob) > need:
+        raise FormatError(f"{path}: {len(blob) - need} trailing bytes after "
+                          f"the last of {count} codes")
     words = np.frombuffer(blob, dtype="<u8", count=count * n_words, offset=12)
-    return words.reshape(count, n_words).astype(np.uint64), n_bits
+    words = words.reshape(count, n_words).astype(np.uint64)
+    if pad_bits_set(words, n_bits):
+        raise FormatError(f"{path}: a code has set pad bits beyond bit {n_bits}")
+    return words, n_bits
 
 
 def write_ids_file(path, ids) -> None:

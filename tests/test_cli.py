@@ -160,6 +160,13 @@ class TestQueryCommand:
         outcome = cmd_query(str(tmp_path / "nope.hdhc"), "00" * 8, 1)
         assert outcome.exit_code == 2
 
+    def test_set_pad_bits_exit_2(self, tmp_path):
+        path = tmp_path / "c.hdhc"
+        write_codes_file(path, np.array([[0], [0b100000]], dtype=np.uint64), 5)
+        outcome = cmd_query(str(path), "00" * 8, 2)
+        assert outcome.exit_code == 2
+        assert not any(line.startswith("id=") for line in outcome.lines)
+
 
 class TestEvalPrCommand:
     def test_perfect_codes_auc_one(self, tmp_path):

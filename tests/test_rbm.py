@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdhash.errors import CapacityError, ConfigError, DomainError
 from hdhash.rbm import (
@@ -140,6 +142,30 @@ class TestGibbsChain:
         assert stats.h_samples == 1 and stats.v_samples == 1
         _, stats = gibbs_chain(m, np.zeros(2), 0, steps=3)
         assert stats.h_samples == 3 and stats.v_samples == 3
+
+    @given(st.integers(1, 9), st.integers(1, 7), st.integers(1, 7), st.integers(0, 4),
+           st.integers(0, 2 ** 40), st.integers(0, 2 ** 16))
+    @settings(max_examples=60, deadline=None)
+    def test_matrix_equals_rows_with_xor_seeds(self, n, v_dim, h_dim, steps, master,
+                                               model_seed):
+        # row i of one batched call is the single-row chain seeded master ^ i
+        gen = np.random.default_rng(model_seed)
+        m = random_rbm(v_dim, h_dim, gen, scale=1.5)
+        batch = random_binary(gen, (n, v_dim))
+        v, stats = gibbs_chain(m, batch, master, steps=steps)
+        assert v.shape == batch.shape and stats.p_h_end.shape == (n, h_dim)
+        for i in range(n):
+            v_i, stats_i = gibbs_chain(m, batch[i], master ^ i, steps=steps)
+            np.testing.assert_array_equal(v[i], v_i)
+            np.testing.assert_allclose(stats.p_h_start[i], stats_i.p_h_start,
+                                       rtol=1e-14, atol=0)
+            np.testing.assert_allclose(stats.p_h_end[i], stats_i.p_h_end,
+                                       rtol=1e-14, atol=0)
+
+    def test_negative_seed_rejected(self):
+        m = Rbm(np.zeros((2, 2)), np.zeros(2), np.zeros(2))
+        with pytest.raises(ConfigError):
+            gibbs_chain(m, np.zeros(2), -1)
 
     def test_zero_steps_returns_start(self):
         gen = np.random.default_rng(2)

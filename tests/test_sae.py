@@ -104,6 +104,15 @@ class TestObjective:
                                             layer.dec_b, batch, 0.3, 0.7, mode)
             assert objective(layer, batch, 0.3, 0.7, mode) == pytest.approx(expected, abs=1e-10)
 
+    def test_returned_output_is_forward(self):
+        gen = np.random.default_rng(8)
+        layer = random_layer(6, 4, gen)
+        batch = gen.uniform(-1, 1, size=(9, 6))
+        for mode in ("batch", "per_sample"):
+            r, v = objective(layer, batch, 0.3, 0.7, mode, return_output=True)
+            assert r == objective(layer, batch, 0.3, 0.7, mode)
+            assert v.tobytes() == forward(layer, batch).tobytes()
+
     def test_negative_weights_rejected(self):
         layer = random_layer(2, 2, np.random.default_rng(0))
         with pytest.raises(ConfigError):

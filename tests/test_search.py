@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdhash.codes import HashCode, pack_bits
-from hdhash.errors import ConfigError, DataError, FormatError, ShapeError, TruncationError
+from hdhash.errors import (
+    ConfigError,
+    DataError,
+    DomainError,
+    FormatError,
+    ShapeError,
+    TruncationError,
+)
 from hdhash.features import FeatureMatrix
 from hdhash.search import (
     HammingIndex,
@@ -98,6 +105,29 @@ class TestTopk:
         empty = HammingIndex(np.zeros((0, 1), dtype=np.uint64), 8,
                              np.zeros(0, dtype=np.int64))
         assert topk(empty, code_of(np.zeros(8, dtype=np.uint8)), 3) == []
+
+    def test_unsorted_unique_ids_accepted(self):
+        words = np.zeros((4, 1), dtype=np.uint64)
+        index = HammingIndex(words, 8, [7, 2, 9, 0])
+        assert [i for i, _ in topk(index, code_of(np.zeros(8, dtype=np.uint8)), 4)] == [
+            0, 2, 7, 9]
+
+    def test_duplicate_ids_rejected(self):
+        words = np.zeros((4, 1), dtype=np.uint64)
+        for ids in ([0, 1, 1, 2], [5, 3, 9, 3]):
+            with pytest.raises(DataError):
+                HammingIndex(words, 8, ids)
+
+    def test_set_pad_bits_rejected(self):
+        # 0b100000 sets the pad bit just past a 5-bit code; scanning it
+        # would report distance 1 from the all-zero query instead of 0.
+        words = np.array([[0], [0b100000]], dtype=np.uint64)
+        with pytest.raises(DomainError):
+            HammingIndex(words, 5, np.arange(2))
+        full = np.array([[0, 0], [1 << 63, 1 << 63]], dtype=np.uint64)
+        HammingIndex(full, 128, np.arange(2))
+        with pytest.raises(DomainError):
+            HammingIndex(full, 127, np.arange(2))
 
     def test_k_must_be_positive(self):
         gen = np.random.default_rng(5)
@@ -285,6 +315,20 @@ class TestCodesIo:
         write_codes_file(p, words, 16)
         p.write_bytes(p.read_bytes()[:-3])
         with pytest.raises(TruncationError):
+            read_codes_file(p)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        words = pack_bits(np.ones((3, 16), dtype=np.uint8))
+        p = tmp_path / "c.hdhc"
+        write_codes_file(p, words, 16)
+        p.write_bytes(p.read_bytes() + b"\x00")
+        with pytest.raises(FormatError):
+            read_codes_file(p)
+
+    def test_set_pad_bits_rejected(self, tmp_path):
+        p = tmp_path / "c.hdhc"
+        write_codes_file(p, np.array([[0], [0b100000]], dtype=np.uint64), 5)
+        with pytest.raises(FormatError):
             read_codes_file(p)
 
     def test_ids_file(self, tmp_path):
