@@ -33,7 +33,6 @@ from .features import (
 from .pipeline import (
     Model,
     TrainingConfig,
-    encode,
     encode_matrix,
     init_model,
     load_model,

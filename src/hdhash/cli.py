@@ -4,15 +4,10 @@ Every command prints machine-parseable key=value lines on stdout and maps
 errors onto fixed exit codes: 0 success, 1 usage/config, 2 data, 3 numeric
 divergence. All randomness comes from the config's seed; re-running a
 command with identical inputs produces byte-identical outputs.
-
-HDH_THREADS (default 1) caps the worker count. The numeric kernels here are
-vectorized single-process code whose results do not depend on that cap; the
-variable is validated and honored as an upper bound.
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass
 
@@ -51,18 +46,6 @@ def _fail(exit_code: int, message: str) -> CommandOutcome:
     return CommandOutcome(exit_code, message, f"status=error exit={exit_code}")
 
 
-def worker_cap() -> int:
-    """Validated HDH_THREADS value (default 1)."""
-    raw = os.environ.get("HDH_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"HDH_THREADS must be a positive integer, got {raw!r}") from None
-    if cap < 1:
-        raise ConfigError(f"HDH_THREADS must be >= 1, got {cap}")
-    return cap
-
-
 def _guard(fn) -> CommandOutcome:
     try:
         return fn()
@@ -87,7 +70,6 @@ def _load_features_auto(path, label_col):
 
 def cmd_train(config_path, features_path, model_out, label_col=None) -> CommandOutcome:
     def run():
-        worker_cap()
         try:
             config = pipeline.parse_config_file(config_path)
         except OSError as exc:
@@ -110,7 +92,6 @@ def cmd_train(config_path, features_path, model_out, label_col=None) -> CommandO
 
 def cmd_encode(model_path, features_path, codes_out, label_col=None) -> CommandOutcome:
     def run():
-        worker_cap()
         try:
             model = pipeline.load_model(model_path)
         except OSError as exc:
@@ -131,7 +112,6 @@ def cmd_encode(model_path, features_path, codes_out, label_col=None) -> CommandO
 
 def cmd_query(codes_path, query_hex, k_results) -> CommandOutcome:
     def run():
-        worker_cap()
         try:
             words, n_bits = search.read_codes_file(codes_path)
         except OSError as exc:
@@ -152,7 +132,6 @@ def cmd_query(codes_path, query_hex, k_results) -> CommandOutcome:
 def cmd_eval_pr(codes_path, features_path, mode, gt_n, out_csv,
                 label_col=None) -> CommandOutcome:
     def run():
-        worker_cap()
         try:
             words, n_bits = search.read_codes_file(codes_path)
         except OSError as exc:

@@ -15,6 +15,8 @@ per-dimension shift/scale so queries are transformed identically.
 """
 from __future__ import annotations
 
+import os
+import secrets
 import struct
 from dataclasses import dataclass
 
@@ -185,7 +187,7 @@ def _load_packed(path):
     if n < 1 or d < 1:
         raise FormatError(f"{path}: empty matrix ({n} x {d})")
     need = 13 + 4 * n * d + (4 * n if has_labels else 0)
-    if len(blob) < need:
+    if len(blob) != need:
         raise FormatError(f"{path}: expected {need} bytes, got {len(blob)}")
     values = np.frombuffer(blob, dtype="<f4", count=n * d, offset=13)
     values = values.reshape(n, d).astype(np.float64)
@@ -196,14 +198,35 @@ def _load_packed(path):
     return FeatureMatrix(values, labels)
 
 
+def atomic_write(path, data: bytes) -> None:
+    """Replace path's content with data in one step.
+
+    The bytes go to a fresh file in path's directory, which then replaces
+    path through os.replace, so a reader sees the old file or the new one,
+    never a partial write. On any error the temporary file is removed and
+    path is left as it was.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{secrets.token_hex(4)}.tmp"
+    # os.open with mode 0o666 honours the umask, as open(path, "wb") does.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save_packed(m: FeatureMatrix, path) -> None:
     """Write the packed-binary representation of a FeatureMatrix."""
-    with open(path, "wb") as fh:
-        fh.write(PACKED_MAGIC)
-        fh.write(struct.pack("<IIB", m.rows, m.dim, 1 if m.labels is not None else 0))
-        fh.write(m.values.astype("<f4").tobytes())
-        if m.labels is not None:
-            fh.write(m.labels.astype("<i4").tobytes())
+    parts = [PACKED_MAGIC,
+             struct.pack("<IIB", m.rows, m.dim, 1 if m.labels is not None else 0),
+             m.values.astype("<f4").tobytes()]
+    if m.labels is not None:
+        parts.append(m.labels.astype("<i4").tobytes())
+    atomic_write(path, b"".join(parts))
 
 
 def normalize(m: FeatureMatrix, mode: str = "minmax_symmetric") -> FeatureMatrix:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import rbm as rbm_ops
 from . import sae as sae_ops
-from .codes import HashCode, pack_bits
+from .codes import pack_bits
 from .errors import (
     CapacityError,
     ChecksumError,
@@ -37,7 +37,7 @@ from .errors import (
     TruncationError,
     VersionError,
 )
-from .features import FeatureMatrix, NormStats, plan_epochs
+from .features import FeatureMatrix, NormStats, atomic_write, plan_epochs
 from .rbm import Rbm
 from .sae import DECORRELATION_MODES, SaeLayer, SaeStack
 
@@ -208,7 +208,6 @@ class Model:
     rbm: Rbm
     norm_stats: NormStats
     config: TrainingConfig
-    format_version: int = MODEL_FORMAT_VERSION
 
     def __post_init__(self):
         if self.sae.dims[-1] != self.rbm.v_dim:
@@ -316,48 +315,39 @@ def _sae_batch_step(layers, x, config, t):
 def _rbm_batch_step(head, visible, config, t, chain_seed):
     """One CD update on a binarized batch; returns the new head and its
     objective contribution (penalties plus free-energy gap, post-update)."""
-    grads, stats = rbm_ops.cd_gradients_with_stats(
+    grads, v_end = rbm_ops.cd_gradients_with_stats(
         head, visible, config.lam, config.mu, config.decorrelation_mode,
         rng=chain_seed)
     head = rbm_ops.update(head, grads, config.alpha)
-    gap = float(np.sum(rbm_ops.free_energy(head, stats.v_start)
-                       - rbm_ops.free_energy(head, stats.v_end)))
+    gap = float(np.sum(rbm_ops.free_energy(head, visible)
+                       - rbm_ops.free_energy(head, v_end)))
     value = rbm_ops.reg_objective_terms(head, visible, config.lam, config.mu,
                                         config.decorrelation_mode) + gap
     _check_finite_rbm(head, value, t)
     return head, value
 
 
-def _interleaved_pass(layers, head, data, plan, config, t, rep):
+def _pass(layers, head, data, plan, config, t, rep, sae=True, rbm=True):
+    """One pass over the plan's batches; returns the head and summed R and J.
+
+    Per batch, sae takes one step on every layer and rbm one CD step on the
+    thresholded top-layer outputs: with sae, the outputs under the freshly
+    updated layers; without it, those of the current stack.
+    """
     r_total = 0.0
     j_total = 0.0
     for m, idx in enumerate(plan.batches()):
-        r_b, top = _sae_batch_step(layers, data.values[idx], config, t)
-        r_total += r_b
-        visible = sae_ops.binarize_pm(top)
-        head, j_b = _rbm_batch_step(
-            head, visible, config, t, _derive_seed(config.seed, t, rep, m))
-        j_total += j_b
+        x = data.values[idx]
+        if sae:
+            r_b, top = _sae_batch_step(layers, x, config, t)
+            r_total += r_b
+        else:
+            top = sae_ops.encode_stack(SaeStack(tuple(layers)), x)
+        if rbm:
+            head, j_b = _rbm_batch_step(head, sae_ops.binarize_pm(top), config, t,
+                                        _derive_seed(config.seed, t, rep, m))
+            j_total += j_b
     return head, r_total, j_total
-
-
-def _sae_pass(layers, data, plan, config, t):
-    total = 0.0
-    for idx in plan.batches():
-        r_b, _ = _sae_batch_step(layers, data.values[idx], config, t)
-        total += r_b
-    return total
-
-
-def _rbm_pass(layers, head, data, plan, config, t, rep):
-    total = 0.0
-    stack = SaeStack(tuple(layers))
-    for m, idx in enumerate(plan.batches()):
-        visible = sae_ops.binarize_pm(sae_ops.encode_stack(stack, data.values[idx]))
-        head, j_b = _rbm_batch_step(
-            head, visible, config, t, _derive_seed(config.seed, t, rep, m))
-        total += j_b
-    return head, total
 
 
 def train(config: TrainingConfig, data: FeatureMatrix) -> tuple[Model, list[IterationRecord]]:
@@ -383,7 +373,7 @@ def train(config: TrainingConfig, data: FeatureMatrix) -> tuple[Model, list[Iter
     for t in range(1, config.outer_iters + 1):
         plan = plan_epochs(data, config.epochs, config.batch_size,
                            _derive_seed(config.seed, t))
-        head, r_t, j_t = _interleaved_pass(layers, head, data, plan, config, t, 0)
+        head, r_t, j_t = _pass(layers, head, data, plan, config, t, 0)
         if t == 1:
             if eps_sae is None:
                 eps_sae = 1e-3 * abs(r_t)
@@ -396,29 +386,19 @@ def train(config: TrainingConfig, data: FeatureMatrix) -> tuple[Model, list[Iter
             basis = history[-1].sae_objective
             while sae_reps < config.max_repeats_per_iter and abs(r_t - basis) > eps_sae:
                 basis = r_t
-                r_t = _sae_pass(layers, data, plan, config, t)
+                _, r_t, _ = _pass(layers, head, data, plan, config, t, 0, rbm=False)
                 sae_reps += 1
             basis = history[-1].rbm_objective
             while rbm_reps < config.max_repeats_per_iter and abs(j_t - basis) > eps_rbm:
                 basis = j_t
-                head, j_t = _rbm_pass(layers, head, data, plan, config, t,
-                                      rbm_reps + 1)
+                head, _, j_t = _pass(layers, head, data, plan, config, t,
+                                     rbm_reps + 1, sae=False)
                 rbm_reps += 1
         history.append(IterationRecord(t, r_t, j_t, sae_reps, rbm_reps))
 
     norm = data.norm_stats if data.norm_stats is not None else NormStats.identity(data.dim)
     final = Model(SaeStack(tuple(layers)), head, norm, config)
     return final, history
-
-
-def encode(model: Model, x) -> HashCode:
-    """Hash one raw feature vector: normalize, encode, threshold, RBM hash."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ConfigError("encode takes a single feature vector; see encode_matrix")
-    normed = model.norm_stats.apply(x)
-    top = sae_ops.encode_stack(model.sae, normed)
-    return rbm_ops.hash_code(model.rbm, sae_ops.binarize_pm(top))
 
 
 def encode_matrix(model: Model, values) -> np.ndarray:
@@ -457,18 +437,24 @@ def save_model(model: Model, path) -> None:
     payload = _model_payload(model).encode("utf-8")
     header = MODEL_MAGIC + np.uint32(MODEL_FORMAT_VERSION).tobytes()
     header += np.uint32(zlib.crc32(payload)).tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header + payload)
+    atomic_write(path, header + payload)
 
 
 def _parse_vec(text: str, size: int, key: str) -> np.ndarray:
     parts = text.split()
     if len(parts) != size:
         raise FormatError(f"model field {key}: expected {size} values, got {len(parts)}")
-    return np.array([float(p) for p in parts], dtype=np.float64)
+    try:
+        values = np.array([float(p) for p in parts], dtype=np.float64)
+    except ValueError:
+        raise FormatError(f"model field {key}: a value is not a number") from None
+    if not np.all(np.isfinite(values)):
+        raise FormatError(f"model field {key}: a value is not finite")
+    return values
 
 
 def load_model(path) -> Model:
+    """Read a model file; a malformed file raises a FormatError subclass."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 12:
@@ -485,45 +471,64 @@ def load_model(path) -> Model:
     payload = blob[12:]
     if zlib.crc32(payload) != stored_crc:
         raise ChecksumError(f"{path}: payload checksum mismatch")
+    try:
+        text = payload.decode("utf-8")
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: model payload is not UTF-8 text") from None
 
     fields = {}
-    for line in payload.decode("utf-8").splitlines():
+    for line in text.splitlines():
         if not line:
             continue
         key, _, value = line.partition("=")
+        if key in fields:
+            raise FormatError(f"{path}: duplicate model field {key!r}")
         fields[key] = value
+    try:
+        return _model_from_fields(fields, str(path))
+    except ConfigError as exc:
+        # A bad value inside a model file is a data error (exit 2), not a
+        # usage error.
+        raise FormatError(f"{path}: {exc}") from None
 
+
+def _model_from_fields(fields: dict, where: str) -> Model:
     def need(key):
         if key not in fields:
-            raise FormatError(f"{path}: missing model field {key!r}")
+            raise FormatError(f"{where}: missing model field {key!r}")
         return fields[key]
 
+    def vec(key, *shape):
+        return _parse_vec(need(key), int(np.prod(shape)), key).reshape(shape)
+
     config = parse_config_text(
-        "\n".join(f"{k}={need('config.' + k)}" for k, _ in _CONFIG_KEYS),
-        where=str(path),
+        "\n".join(f"{k}={need('config.' + k)}" for k, _ in _CONFIG_KEYS), where=where)
+    dims = config.layer_dims
+    v_dim, h_dim = dims[-1], config.code_bits
+    # Every stored shape must be the one the config echo declares.
+    shapes = {"sae.layer_count": len(dims) - 1, "rbm.v_dim": v_dim, "rbm.h_dim": h_dim}
+    for i, (p, q) in enumerate(zip(dims, dims[1:])):
+        shapes[f"sae.{i}.in_dim"] = p
+        shapes[f"sae.{i}.out_dim"] = q
+    for key, value in shapes.items():
+        if need(key) != str(value):
+            raise FormatError(
+                f"{where}: model field {key}={need(key)!r} does not match "
+                f"config.layer_dims={','.join(map(str, dims))} code_bits={h_dim}"
+            )
+    try:
+        cd_steps = int(need("rbm.cd_steps"))
+    except ValueError:
+        raise FormatError(f"{where}: model field 'rbm.cd_steps' is not an integer") from None
+
+    norm = NormStats(need("norm.mode"), vec("norm.shift", dims[0]),
+                     vec("norm.scale", dims[0]))
+    layers = tuple(
+        SaeLayer(vec(f"sae.{i}.enc_w", q, p), vec(f"sae.{i}.enc_b", q),
+                 vec(f"sae.{i}.dec_w", p, q), vec(f"sae.{i}.dec_b", p))
+        for i, (p, q) in enumerate(zip(dims, dims[1:]))
     )
-    dim = config.layer_dims[0]
-    norm = NormStats(need("norm.mode"),
-                     _parse_vec(need("norm.shift"), dim, "norm.shift"),
-                     _parse_vec(need("norm.scale"), dim, "norm.scale"))
-    count = int(need("sae.layer_count"))
-    layers = []
-    for i in range(count):
-        p = int(need(f"sae.{i}.in_dim"))
-        q = int(need(f"sae.{i}.out_dim"))
-        layers.append(SaeLayer(
-            _parse_vec(need(f"sae.{i}.enc_w"), q * p, f"sae.{i}.enc_w").reshape(q, p),
-            _parse_vec(need(f"sae.{i}.enc_b"), q, f"sae.{i}.enc_b"),
-            _parse_vec(need(f"sae.{i}.dec_w"), p * q, f"sae.{i}.dec_w").reshape(p, q),
-            _parse_vec(need(f"sae.{i}.dec_b"), p, f"sae.{i}.dec_b"),
-        ))
-    v_dim = int(need("rbm.v_dim"))
-    h_dim = int(need("rbm.h_dim"))
-    head = Rbm(
-        _parse_vec(need("rbm.w"), h_dim * v_dim, "rbm.w").reshape(h_dim, v_dim),
-        _parse_vec(need("rbm.vis_bias"), v_dim, "rbm.vis_bias"),
-        _parse_vec(need("rbm.hid_bias"), h_dim, "rbm.hid_bias"),
-        beta=float(need("rbm.beta")),
-        cd_steps=int(need("rbm.cd_steps")),
-    )
-    return Model(SaeStack(tuple(layers)), head, norm, config)
+    head = Rbm(vec("rbm.w", h_dim, v_dim), vec("rbm.vis_bias", v_dim),
+               vec("rbm.hid_bias", h_dim), beta=float(vec("rbm.beta", 1)[0]),
+               cd_steps=cd_steps)
+    return Model(SaeStack(layers), head, norm, config)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import HashCode
 from .errors import CapacityError, ConfigError, DomainError, ShapeError
 
 from .sae import _check_penalties
@@ -72,22 +71,11 @@ class RbmGradients:
 
 @dataclass(frozen=True)
 class GibbsStats:
-    """Bookkeeping from one gibbs_chain call: samples drawn per chain and
-    the conditionals P(h=1 | .) at the start and end states (one row per
-    chain when the chain ran on a matrix)."""
+    """The conditionals P(h=1 | .) at the start and end states of one
+    gibbs_chain call (one row per chain when the chain ran on a matrix)."""
 
-    h_samples: int
-    v_samples: int
     p_h_start: np.ndarray
     p_h_end: np.ndarray
-
-
-@dataclass(frozen=True)
-class CdBatchStats:
-    """Chain endpoints for every batch row (v_start is the data)."""
-
-    v_start: np.ndarray
-    v_end: np.ndarray
 
 
 def _check_binary(x, dim: int, what: str) -> np.ndarray:
@@ -107,15 +95,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def energy(rbm: Rbm, v, h) -> float:
-    """E(v, h) for one binary configuration."""
-    v = _check_binary(v, rbm.v_dim, "visible vector")
-    h = _check_binary(h, rbm.h_dim, "hidden vector")
-    if v.ndim != 1 or h.ndim != 1:
-        raise ShapeError("energy takes single vectors, not batches")
-    return float(-rbm.vis_bias @ v - rbm.hid_bias @ h - h @ rbm.w @ v)
 
 
 def prob_h_given_v(rbm: Rbm, v) -> np.ndarray:
@@ -176,7 +155,7 @@ def gibbs_chain(rbm: Rbm, v0, rng, steps: int | None = None) -> tuple[np.ndarray
         p_h = _sigmoid(v @ w_t + rbm.hid_bias)
     if v0.ndim == 1:
         v, p_h_start, p_h = v[0], p_h_start[0], p_h[0]
-    return v, GibbsStats(steps, steps, p_h_start, p_h)
+    return v, GibbsStats(p_h_start, p_h)
 
 
 def surrogate_hidden(rbm: Rbm, v) -> np.ndarray:
@@ -252,8 +231,8 @@ def _master_seed(rng) -> int:
 
 def cd_gradients_with_stats(rbm: Rbm, batch, lam: float, mu: float,
                             decorrelation_mode: str = "batch", rng=0,
-                            steps: int | None = None) -> tuple[RbmGradients, CdBatchStats]:
-    """CD-r estimate of the training gradient, plus chain endpoints.
+                            steps: int | None = None) -> tuple[RbmGradients, np.ndarray]:
+    """CD-r estimate of the training gradient, plus each row's chain end.
 
     The likelihood part is the negative-phase/positive-phase difference
     summed over the batch, oriented so that subtracting alpha * grad raises
@@ -271,7 +250,7 @@ def cd_gradients_with_stats(rbm: Rbm, batch, lam: float, mu: float,
     d_b = (p_hr - p_h0).sum(axis=0)
     pen = penalty_gradients(rbm, batch, lam, mu, decorrelation_mode)
     grads = RbmGradients(d_w + pen.d_w, d_a + pen.d_vis_bias, d_b + pen.d_hid_bias)
-    return grads, CdBatchStats(batch, v_end)
+    return grads, v_end
 
 
 def cd_gradients(rbm: Rbm, batch, lam: float, mu: float,
@@ -368,11 +347,3 @@ def hash_bits(rbm: Rbm, v) -> np.ndarray:
     """Deterministic bit matrix: bit 1 where w @ v + hid_bias >= 0."""
     v = _check_binary(v, rbm.v_dim, "visible input")
     return ((v @ rbm.w.T + rbm.hid_bias) >= 0).astype(np.uint8)
-
-
-def hash_code(rbm: Rbm, v) -> HashCode:
-    """Hash one visible vector to a packed h_dim-bit code (no sampling)."""
-    v = _check_binary(v, rbm.v_dim, "visible vector")
-    if v.ndim != 1:
-        raise ShapeError("hash_code takes a single vector; use hash_bits for batches")
-    return HashCode.from_bits(hash_bits(rbm, v))

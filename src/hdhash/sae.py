@@ -114,13 +114,6 @@ def forward(layer: SaeLayer, v_prev) -> np.ndarray:
     return out[0] if single else out
 
 
-def reconstruct(layer: SaeLayer, v) -> np.ndarray:
-    """Decoder pass tanh(dec_w @ v + dec_b); accepts a vector or row matrix."""
-    rows, single = _as_rows(v, layer.out_dim, "code")
-    out = np.tanh(rows @ layer.dec_w.T + layer.dec_b)
-    return out[0] if single else out
-
-
 def _passes(layer: SaeLayer, batch: np.ndarray):
     v = np.tanh(batch @ layer.enc_w.T + layer.enc_b)
     recon = np.tanh(v @ layer.dec_w.T + layer.dec_b)
@@ -189,21 +182,6 @@ def sgd_step(layer: SaeLayer, grads: SaeGradients, alpha: float) -> SaeLayer:
         layer.dec_w - alpha * grads.d_dec_w,
         layer.dec_b - alpha * grads.d_dec_b,
     )
-
-
-def train_layer(layer: SaeLayer, batches, lam: float, mu: float, alpha: float,
-                decorrelation_mode: str = "batch") -> tuple[SaeLayer, list[float]]:
-    """One gradient step per batch, in order.
-
-    Returns the updated layer and the objective evaluated on each batch
-    right after its update.
-    """
-    trace = []
-    for batch in batches:
-        g = gradients(layer, batch, lam, mu, decorrelation_mode)
-        layer = sgd_step(layer, g, alpha)
-        trace.append(objective(layer, batch, lam, mu, decorrelation_mode))
-    return layer, trace
 
 
 def encode_stack(stack: SaeStack, x) -> np.ndarray:

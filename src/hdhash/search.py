@@ -28,7 +28,7 @@ from .errors import (
     ShapeError,
     TruncationError,
 )
-from .features import FeatureMatrix
+from .features import FeatureMatrix, atomic_write
 
 CODES_MAGIC = b"HDHC"
 
@@ -72,20 +72,6 @@ class HammingIndex:
                 raise ShapeError("labels must align with codes")
             labels.flags.writeable = False
             object.__setattr__(self, "labels", labels)
-
-    @classmethod
-    def from_codes(cls, codes, ids=None, labels=None) -> "HammingIndex":
-        codes = list(codes)
-        if not codes:
-            raise ShapeError("cannot index zero codes; pass packed words instead")
-        n_bits = codes[0].n_bits
-        for c in codes:
-            if c.n_bits != n_bits:
-                raise ShapeError("all codes in an index must have the same length")
-        words = np.stack([c.words for c in codes])
-        if ids is None:
-            ids = np.arange(len(codes))
-        return cls(words, n_bits, ids, labels)
 
     @property
     def size(self) -> int:
@@ -137,8 +123,6 @@ def ground_truth(data: FeatureMatrix, query_rows, mode: str, n_gt: int = 0) -> l
     "label" marks every same-class row relevant; "euclidean" marks the n_gt
     nearest rows in the original feature space (ties by row id).
     """
-    if mode == "euclidean-topN":
-        mode = "euclidean"
     if mode not in GROUND_TRUTH_MODES:
         raise ConfigError(f"unknown ground-truth mode {mode!r}")
     query_rows = np.asarray(query_rows, dtype=np.int64)
@@ -259,14 +243,17 @@ def auc(curve: PRCurve) -> float:
 
 
 def write_codes_file(path, words: np.ndarray, n_bits: int) -> None:
-    """Write packed codes: magic, u32 count, u32 bit length, u64 words."""
+    """Write packed codes: magic, u32 count, u32 bit length, u64 words.
+
+    Refuses what read_codes_file would reject: a bad shape or set pad bits.
+    """
     words = np.asarray(words, dtype="<u8")
-    if words.ndim != 2 or words.shape[1] != words_per_code(n_bits):
+    if n_bits < 1 or words.ndim != 2 or words.shape[1] != words_per_code(n_bits):
         raise ShapeError(f"words shape {words.shape} does not fit {n_bits}-bit codes")
-    with open(path, "wb") as fh:
-        fh.write(CODES_MAGIC)
-        fh.write(struct.pack("<II", words.shape[0], n_bits))
-        fh.write(words.tobytes())
+    if pad_bits_set(words, n_bits):
+        raise DomainError(f"a code has set pad bits beyond bit {n_bits}")
+    atomic_write(path, CODES_MAGIC + struct.pack("<II", words.shape[0], n_bits)
+                 + words.tobytes())
 
 
 def read_codes_file(path) -> tuple[np.ndarray, int]:
@@ -294,9 +281,7 @@ def read_codes_file(path) -> tuple[np.ndarray, int]:
 
 
 def write_ids_file(path, ids) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for v in ids:
-            fh.write(f"{int(v)}\n")
+    atomic_write(path, "".join(f"{int(v)}\n" for v in ids).encode("utf-8"))
 
 
 def read_ids_file(path) -> np.ndarray:
@@ -314,8 +299,8 @@ def read_ids_file(path) -> np.ndarray:
 
 
 def write_pr_csv(path, table: list[PrPoint]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("radius,recall,precision,mean_retrieved\n")
-        for row in table:
-            fh.write(f"{row.radius},{row.recall:.17g},{row.precision:.17g},"
+    lines = ["radius,recall,precision,mean_retrieved\n"]
+    for row in table:
+        lines.append(f"{row.radius},{row.recall:.17g},{row.precision:.17g},"
                      f"{row.mean_retrieved:.17g}\n")
+    atomic_write(path, "".join(lines).encode("utf-8"))

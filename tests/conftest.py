@@ -1,3 +1,4 @@
+import struct
 import sys
 from pathlib import Path
 
@@ -29,6 +30,13 @@ def two_cluster_dataset(seed=1234, n_train=200, n_query=50, dim=32, offset=2.0):
     query = FeatureMatrix(values[n_train:n_train + n_query],
                           labels[n_train:n_train + n_query])
     return train, query
+
+
+def write_raw_codes(path, words, n_bits):
+    """Write a codes file byte by byte, unchecked, as a foreign writer might."""
+    words = np.asarray(words, dtype="<u8")
+    path.write_bytes(b"HDHC" + struct.pack("<II", words.shape[0], n_bits)
+                     + words.tobytes())
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,7 @@
+import struct
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from hdhash.codes import HashCode, pack_bits
 from hdhash.features import FeatureMatrix, save_packed
 from hdhash.pipeline import TrainingConfig, config_lines
 from hdhash.search import read_codes_file, write_codes_file
+
+from conftest import write_raw_codes
 
 
 def write_config(path, **overrides):
@@ -129,6 +133,34 @@ class TestEncodeCommand:
         assert outcome.exit_code == 0
 
 
+def rewrite_payload(path, old, new):
+    """Replace bytes in a model file's payload and store the matching CRC."""
+    blob = path.read_bytes()
+    payload = blob[12:]
+    assert old in payload
+    payload = payload.replace(old, new)
+    path.write_bytes(blob[:8] + struct.pack("<I", zlib.crc32(payload)) + payload)
+
+
+class TestMalformedModel:
+    """Model files with a valid checksum but a bad payload exit 2."""
+
+    @pytest.mark.parametrize("old, new", [
+        (b"rbm.v_dim=3", b"rbm.v_dim=x3"),                  # not a number
+        (b"norm.mode=", b"norm.m\xffde="),                  # not UTF-8
+        (b"config.seed=1", b"config.seed=x"),               # bad config echo
+        (b"config.layer_dims=4,3", b"config.layer_dims=4,5"),  # dims disagree
+    ], ids=["bad-number", "not-utf8", "bad-config-echo", "dims-disagree"])
+    def test_encode_exits_2(self, trained, tmp_path, old, new):
+        _, features_path, model_path = trained
+        rewrite_payload(model_path, old, new)
+        outcome = cmd_encode(str(model_path), str(features_path),
+                             str(tmp_path / "c.hdhc"))
+        assert outcome.exit_code == 2
+        assert outcome.summary == "status=error exit=2"
+        assert not (tmp_path / "c.hdhc").exists()
+
+
 class TestQueryCommand:
     def make_codes(self, tmp_path, n=8, k=16, seed=0):
         gen = np.random.default_rng(seed)
@@ -162,7 +194,7 @@ class TestQueryCommand:
 
     def test_set_pad_bits_exit_2(self, tmp_path):
         path = tmp_path / "c.hdhc"
-        write_codes_file(path, np.array([[0], [0b100000]], dtype=np.uint64), 5)
+        write_raw_codes(path, np.array([[0], [0b100000]], dtype=np.uint64), 5)
         outcome = cmd_query(str(path), "00" * 8, 2)
         assert outcome.exit_code == 2
         assert not any(line.startswith("id=") for line in outcome.lines)
@@ -269,11 +301,6 @@ class TestMainEntry:
                      "--k", "2"]) == 0
         out = capsys.readouterr().out
         assert "distance=0" in out.splitlines()[-2] or "distance=0" in out
-
-    def test_invalid_threads_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HDH_THREADS", "zero")
-        outcome = cmd_query(str(tmp_path / "c.hdhc"), "00", 1)
-        assert outcome.exit_code == 1
 
     def test_console_script_runs(self, tmp_path):
         result = subprocess.run(

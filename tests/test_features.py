@@ -1,3 +1,6 @@
+import errno
+import os
+
 import numpy as np
 import pytest
 
@@ -5,11 +8,14 @@ from hdhash.errors import CapacityError, FormatError, ParseError, ShapeError
 from hdhash.features import (
     FeatureMatrix,
     NormStats,
+    atomic_write,
     load_features,
     normalize,
     plan_epochs,
     save_packed,
 )
+from hdhash.pipeline import TrainingConfig, init_model, save_model
+from hdhash.search import PrPoint, write_codes_file, write_ids_file, write_pr_csv
 
 
 def write(path, text):
@@ -85,6 +91,72 @@ class TestPackedBinary:
         p.write_bytes(p.read_bytes()[:-5])
         with pytest.raises(FormatError):
             load_features(str(p), "packed-binary")
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        m = FeatureMatrix(np.ones((4, 3)), np.arange(4))
+        p = tmp_path / "f.bin"
+        save_packed(m, p)
+        p.write_bytes(p.read_bytes() + b"\x00")
+        with pytest.raises(FormatError):
+            load_features(str(p), "packed-binary")
+
+
+def _failing_replace(src, dst):
+    raise OSError(errno.EXDEV, "simulated failure at the final rename")
+
+
+WRITERS = {
+    "save_packed": lambda p: save_packed(FeatureMatrix(np.ones((2, 3)), [0, 1]), p),
+    "save_model": lambda p: save_model(init_model(TrainingConfig(
+        layer_dims=(4, 3), code_bits=2, epochs=1, batch_size=1)), p),
+    "write_codes_file": lambda p: write_codes_file(p, np.ones((2, 1), np.uint64), 8),
+    "write_ids_file": lambda p: write_ids_file(p, [4, 5]),
+    "write_pr_csv": lambda p: write_pr_csv(p, [PrPoint(0, 0.5, 1.0, 1.0)]),
+}
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, writer):
+        path = tmp_path / "out"
+        path.write_bytes(b"old content")
+        monkeypatch.setattr(os, "replace", _failing_replace)
+        with pytest.raises(OSError):
+            WRITERS[writer](path)
+        assert path.read_bytes() == b"old content"
+        assert os.listdir(tmp_path) == ["out"]
+        monkeypatch.undo()
+        WRITERS[writer](path)
+        assert path.read_bytes() != b"old content"
+        assert os.listdir(tmp_path) == ["out"]
+
+    def test_failed_data_write_keeps_old_file(self, tmp_path, monkeypatch):
+        real_fdopen = os.fdopen
+
+        class DiskFull:
+            """A file that takes two bytes, then runs out of space."""
+
+            def __init__(self, fd, mode):
+                self.fh = real_fdopen(fd, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:2])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        path = tmp_path / "out"
+        path.write_bytes(b"old content")
+        monkeypatch.setattr(os, "fdopen", DiskFull)
+        with pytest.raises(OSError):
+            atomic_write(path, b"new content")
+        assert path.read_bytes() == b"old content"
+        assert os.listdir(tmp_path) == ["out"]
 
 
 class TestNormalize:

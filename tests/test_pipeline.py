@@ -8,15 +8,16 @@ from hdhash.errors import (
     DataError,
     DivergenceError,
     FormatError,
+    ShapeError,
     TruncationError,
     VersionError,
 )
+from hdhash.codes import HashCode
 from hdhash.features import FeatureMatrix, normalize
 from hdhash.pipeline import (
     Model,
     TrainingConfig,
     config_lines,
-    encode,
     encode_matrix,
     init_model,
     load_model,
@@ -209,8 +210,8 @@ class TestEncode:
     def test_pure_function(self):
         data = tiny_data(rows=10)
         model, _ = train(tiny_config(), data)
-        x = np.array([0.1, -0.2, 0.3, 0.4])
-        assert encode(model, x) == encode(model, x)
+        x = np.array([[0.1, -0.2, 0.3, 0.4]])
+        assert np.array_equal(encode_matrix(model, x), encode_matrix(model, x))
 
     def test_all_zero_model_gives_all_ones(self):
         config = tiny_config()
@@ -225,14 +226,17 @@ class TestEncode:
                             np.zeros_like(model.rbm.hid_bias),
                             beta=model.rbm.beta, cd_steps=model.rbm.cd_steps),
             model.norm_stats, config)
-        code = encode(zeroed, np.array([0.5, -0.5, 0.25, 0.0]))
-        np.testing.assert_array_equal(code.to_bits(), np.ones(config.code_bits))
+        words = encode_matrix(zeroed, np.array([[0.5, -0.5, 0.25, 0.0]]))
+        np.testing.assert_array_equal(HashCode(config.code_bits, words[0]).to_bits(),
+                                      np.ones(config.code_bits))
 
     def test_code_length(self):
         data = tiny_data(rows=10)
         config = tiny_config(code_bits=2)
         model, _ = train(config, data)
-        assert encode(model, np.zeros(4)).n_bits == 2
+        words = encode_matrix(model, np.zeros((3, 4)))
+        assert words.shape == (3, 1)
+        assert HashCode(2, words[0]).n_bits == 2
 
     def test_matrix_matches_single(self):
         data = tiny_data(rows=10)
@@ -240,13 +244,13 @@ class TestEncode:
         rows = tiny_data(rows=5, seed=9).values
         words = encode_matrix(model, rows)
         for i in range(5):
-            assert np.array_equal(words[i], encode(model, rows[i]).words)
+            assert np.array_equal(words[i], encode_matrix(model, rows[i])[0])
 
     def test_dimension_check(self):
         data = tiny_data(rows=10)
         model, _ = train(tiny_config(), data)
-        with pytest.raises(Exception):
-            encode(model, np.zeros(7))
+        with pytest.raises(ShapeError):
+            encode_matrix(model, np.zeros((2, 7)))
 
 
 class TestPersistence:

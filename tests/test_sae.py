@@ -10,9 +10,7 @@ from hdhash.sae import (
     forward,
     gradients,
     objective,
-    reconstruct,
     sgd_step,
-    train_layer,
 )
 
 from oracles import central_difference, grad_close, sae_objective_direct
@@ -24,6 +22,13 @@ TANH_ONE = 0.7615941559557649    # tanh(1.0)
 def glorot(q, p, gen):
     s = np.sqrt(6.0 / (p + q))
     return gen.uniform(-s, s, size=(q, p))
+
+
+def descend(layer, batch, lam, mu, alpha, steps):
+    """steps plain gradient-descent updates of one layer on one batch."""
+    for _ in range(steps):
+        layer = sgd_step(layer, gradients(layer, batch, lam, mu), alpha)
+    return layer
 
 
 def random_layer(p, q, gen, scale=0.4):
@@ -58,20 +63,21 @@ class TestForward:
 
 
 class TestReconstruct:
+    """The reconstruction term of objective (lam = mu = 0): the decoder
+    tanh(dec_w @ v + dec_b) against the input."""
+
     def test_zero_parameters(self):
         layer = SaeLayer(np.zeros((1, 2)), np.zeros(1), np.zeros((2, 1)), np.zeros(2))
-        np.testing.assert_array_equal(reconstruct(layer, [0.4]), np.zeros(2))
+        # the zero decoder reconstructs 0, so R = 1/2 ||x||^2
+        assert objective(layer, [[0.4, -0.3]], 0.0, 0.0) == pytest.approx(0.125)
 
     def test_formula(self):
-        layer = SaeLayer(np.zeros((1, 2)), np.zeros(1),
+        # encoder output 0.25 decodes to (tanh(2 * 0.25), tanh(1))
+        layer = SaeLayer(np.zeros((1, 2)), [np.arctanh(0.25)],
                          [[2.0], [0.0]], [0.0, 1.0])
-        np.testing.assert_allclose(reconstruct(layer, [0.25]),
-                                   [TANH_HALF, TANH_ONE], rtol=0, atol=1e-15)
-
-    def test_shape_error(self):
-        layer = SaeLayer(np.zeros((1, 2)), np.zeros(1), np.zeros((2, 1)), np.zeros(2))
-        with pytest.raises(ShapeError):
-            reconstruct(layer, [1.0, 2.0])
+        expected = 0.5 * (TANH_HALF ** 2 + TANH_ONE ** 2)
+        assert objective(layer, np.zeros((1, 2)), 0.0, 0.0) == pytest.approx(
+            expected, rel=1e-14)
 
 
 class TestObjective:
@@ -196,20 +202,7 @@ class TestSgdStep:
 
 
 class TestTrainLayer:
-    def test_empty_batches(self):
-        layer = random_layer(3, 2, np.random.default_rng(0))
-        out, trace = train_layer(layer, [], 0.1, 0.1, 0.01)
-        assert trace == []
-        np.testing.assert_array_equal(out.enc_w, layer.enc_w)
-
-    def test_deterministic(self):
-        gen = np.random.default_rng(1)
-        layer = random_layer(4, 3, gen)
-        batch = gen.uniform(-1, 1, size=(5, 4))
-        a = train_layer(layer, [batch], 0.1, 0.1, 0.01)
-        b = train_layer(layer, [batch], 0.1, 0.1, 0.01)
-        np.testing.assert_array_equal(a[0].enc_w, b[0].enc_w)
-        assert a[1] == b[1]
+    """A layer trained the way the pipeline does it: gradients, then sgd_step."""
 
     def test_low_rank_data_reconstruction_improves(self):
         # 8-D observations generated from a 2-D latent plane
@@ -219,8 +212,7 @@ class TestTrainLayer:
         init = np.random.default_rng(11)
         layer = SaeLayer(glorot(2, 8, init), np.zeros(2), glorot(8, 2, init), np.zeros(8))
         initial = objective(layer, data, 0.0, 0.0)
-        for _ in range(200):
-            layer, _ = train_layer(layer, [data], 0.0, 0.0, 0.05)
+        layer = descend(layer, data, 0.0, 0.0, 0.05, 200)
         final = objective(layer, data, 0.0, 0.0)
         assert final < 0.5 * initial
 
@@ -233,8 +225,7 @@ class TestBalancePressure:
             gen = np.random.default_rng(9)
             layer = SaeLayer(glorot(4, 6, gen), gen.uniform(-0.1, 0.1, 4),
                              glorot(6, 4, gen), gen.uniform(-0.1, 0.1, 6))
-            for _ in range(100):
-                layer, _ = train_layer(layer, [batch], lam, 0.0, 0.01)
+            layer = descend(layer, batch, lam, 0.0, 0.01, 100)
             return np.linalg.norm(forward(layer, batch).sum(axis=0))
 
         norms = [final_balance(lam) for lam in (0.0, 0.1, 1.0, 10.0)]

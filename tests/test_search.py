@@ -30,6 +30,7 @@ from hdhash.search import (
     write_pr_csv,
 )
 
+from conftest import write_raw_codes
 from oracles import pr_direct, radius_direct, topk_direct
 
 
@@ -196,10 +197,6 @@ class TestGroundTruth:
         with pytest.raises(ConfigError):
             ground_truth(data, [0], "label")
 
-    def test_mode_alias(self):
-        data = FeatureMatrix(np.array([[0.0], [1.0], [10.0]]))
-        assert ground_truth(data, [0], "euclidean-topN", n_gt=1) == [{1}]
-
 
 class TestPrecisionRecall:
     def test_hand_counts(self):
@@ -327,9 +324,17 @@ class TestCodesIo:
 
     def test_set_pad_bits_rejected(self, tmp_path):
         p = tmp_path / "c.hdhc"
-        write_codes_file(p, np.array([[0], [0b100000]], dtype=np.uint64), 5)
+        write_raw_codes(p, np.array([[0], [0b100000]], dtype=np.uint64), 5)
         with pytest.raises(FormatError):
             read_codes_file(p)
+
+    def test_writer_refuses_what_reader_rejects(self, tmp_path):
+        p = tmp_path / "c.hdhc"
+        with pytest.raises(DomainError):
+            write_codes_file(p, np.array([[0], [0b100000]], dtype=np.uint64), 5)
+        with pytest.raises(ShapeError):
+            write_codes_file(p, np.zeros((2, 0), dtype=np.uint64), 0)
+        assert not p.exists()
 
     def test_ids_file(self, tmp_path):
         p = tmp_path / "ids.txt"
