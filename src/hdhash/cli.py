@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,17 @@ def _guard(fn) -> CommandOutcome:
         return _fail(EXIT_DATA, str(exc))
 
 
+@contextmanager
+def _writing(path):
+    """Report a failed write of the output file path as a DataError naming
+    path (the writer's own error names its temporary file)."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(f"cannot write output file {path}: "
+                        f"{exc.strerror or exc}") from None
+
+
 def _load_features_auto(path, label_col):
     """Pick the feature format from the file's leading magic bytes."""
     try:
@@ -76,7 +88,8 @@ def cmd_train(config_path, features_path, model_out, label_col=None) -> CommandO
             raise ConfigError(f"cannot read config file: {exc}") from None
         data = normalize(_load_features_auto(features_path, label_col))
         model, history = pipeline.train(config, data)
-        pipeline.save_model(model, model_out)
+        with _writing(model_out):
+            pipeline.save_model(model, model_out)
         lines = [
             f"iter={rec.iteration} R={rec.sae_objective:.17g} "
             f"J={rec.rbm_objective:.17g} sae_repeats={rec.sae_repeats} "
@@ -103,7 +116,8 @@ def cmd_encode(model_path, features_path, codes_out, label_col=None) -> CommandO
                 f"features have {data.dim}"
             )
         words = pipeline.encode_matrix(model, data.values)
-        search.write_codes_file(codes_out, words, model.code_bits)
+        with _writing(codes_out):
+            search.write_codes_file(codes_out, words, model.code_bits)
         return _ok(f"status=ok codes={codes_out} count={data.rows} "
                    f"bits={model.code_bits}")
 
@@ -150,7 +164,8 @@ def cmd_eval_pr(codes_path, features_path, mode, gt_n, out_csv,
         index = search.HammingIndex(words, n_bits, rows, data.labels)
         queries = [index.code(i) for i in range(index.size)]
         table = search.pr_table(index, queries, truth, exclude_ids=rows)
-        search.write_pr_csv(out_csv, table)
+        with _writing(out_csv):
+            search.write_pr_csv(out_csv, table)
         area = search.auc(search.curve_from_table(table))
         return _ok(f"status=ok pr_csv={out_csv} auc={area:.17g} mode={mode} "
                    f"queries={data.rows}")

@@ -118,6 +118,13 @@ def load_features(path, format: str = "csv", label_col: str | None = None) -> Fe
     raise ConfigError(f"unknown feature format {format!r}")
 
 
+def _utf8_lines(fh, path):
+    try:
+        yield from fh
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: not UTF-8 text") from None
+
+
 def _load_csv(path, label_col):
     if label_col not in (None, "last"):
         raise ConfigError(f"label_col must be None or 'last', got {label_col!r}")
@@ -125,7 +132,7 @@ def _load_csv(path, label_col):
     labels = [] if label_col == "last" else None
     width = None
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(_utf8_lines(fh, path), start=1):
             line = line.strip()
             if not line:
                 continue

@@ -173,7 +173,11 @@ def parse_config_text(text: str, where: str = "config") -> TrainingConfig:
 
 def parse_config_file(path) -> TrainingConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), where=str(path))
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path}: config file is not UTF-8 text") from None
+    return parse_config_text(text, where=str(path))
 
 
 def _fmt(x: float) -> str:
@@ -277,21 +281,9 @@ def init_model(config: TrainingConfig, rng=None) -> Model:
                  config)
 
 
-def _check_finite_sae(layers, value, t):
-    if not np.isfinite(value):
-        raise DivergenceError("sae", t)
-    for layer in layers:
-        for block in (layer.enc_w, layer.enc_b, layer.dec_w, layer.dec_b):
-            if not np.all(np.isfinite(block)):
-                raise DivergenceError("sae", t)
-
-
-def _check_finite_rbm(head, value, t):
-    if not np.isfinite(value):
-        raise DivergenceError("rbm", t)
-    for block in (head.w, head.vis_bias, head.hid_bias):
-        if not np.all(np.isfinite(block)):
-            raise DivergenceError("rbm", t)
+def _check_finite(stage, value, blocks, t):
+    if not (np.isfinite(value) and all(np.all(np.isfinite(b)) for b in blocks)):
+        raise DivergenceError(stage, t)
 
 
 def _sae_batch_step(layers, x, config, t):
@@ -308,7 +300,8 @@ def _sae_batch_step(layers, x, config, t):
         r, inp = sae_ops.objective(layer, inp, config.lam, config.mu,
                                    config.decorrelation_mode, return_output=True)
         total += r
-    _check_finite_sae(layers, total, t)
+    _check_finite("sae", total, (b for la in layers
+                                 for b in (la.enc_w, la.enc_b, la.dec_w, la.dec_b)), t)
     return total, inp
 
 
@@ -323,7 +316,7 @@ def _rbm_batch_step(head, visible, config, t, chain_seed):
                        - rbm_ops.free_energy(head, v_end)))
     value = rbm_ops.reg_objective_terms(head, visible, config.lam, config.mu,
                                         config.decorrelation_mode) + gap
-    _check_finite_rbm(head, value, t)
+    _check_finite("rbm", value, (head.w, head.vis_bias, head.hid_bias), t)
     return head, value
 
 

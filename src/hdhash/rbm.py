@@ -7,7 +7,8 @@ The model over binary visible v and hidden h has energy
 with joint probability exp(-E) / Z. Conditionals factorize into sigmoids.
 Training combines a contrastive-divergence estimate of the negative
 log-likelihood gradient (r Gibbs steps from the data) with exact analytic
-gradients of two deterministic penalties on the thresholded hidden map. The
+gradients of the autoencoder's balance and decorrelation penalty (sae.py),
+applied to the thresholded hidden map in place of the layer outputs. The
 threshold is smoothed during training by f(x) = (tanh(beta * x) + 1) / 2,
 which approaches the 0/1 step as beta grows; final codes always use the hard
 sign rule, never sampling.
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import CapacityError, ConfigError, DomainError, ShapeError
 
-from .sae import _check_penalties
+from .sae import _add_penalty, _add_penalty_grad, _check_penalties
 
 EXACT_LIMIT_BITS = 20
 
@@ -126,12 +127,12 @@ def gibbs_chain(rbm: Rbm, v0, rng, steps: int | None = None) -> tuple[np.ndarray
     """Alternate h ~ P(h|v), v ~ P(v|h) for `steps` rounds (default cd_steps).
 
     v0 is one start vector or a matrix of start rows; all rows advance
-    together. Row i has its own stream, default_rng(master ^ i), with master
-    the int seed rng (or one drawn from a Generator), so a row's chain does
-    not depend on the other rows, and a single vector with seed s runs on
-    default_rng(s). Each step draws h_dim uniforms for the hidden sample,
-    then v_dim for the visible one. Returns the final visible state, shaped
-    like v0, and the conditionals P(h=1 | .) at the start and end states.
+    together. rng is an int seed >= 0 (ConfigError otherwise); row i has its
+    own stream, default_rng(rng ^ i), so a row's chain does not depend on the
+    other rows, and a single vector with seed s runs on default_rng(s). Each
+    step draws h_dim uniforms for the hidden sample, then v_dim for the
+    visible one. Returns the final visible state, shaped like v0, and the
+    conditionals P(h=1 | .) at the start and end states.
     """
     v0 = _check_binary(v0, rbm.v_dim, "start state")
     if steps is None:
@@ -158,38 +159,27 @@ def gibbs_chain(rbm: Rbm, v0, rng, steps: int | None = None) -> tuple[np.ndarray
     return v, GibbsStats(p_h_start, p_h)
 
 
+def _surrogate_tanh(rbm: Rbm, v: np.ndarray) -> np.ndarray:
+    return np.tanh(rbm.beta * (v @ rbm.w.T + rbm.hid_bias))
+
+
 def surrogate_hidden(rbm: Rbm, v) -> np.ndarray:
     """Smoothed hidden map f(w @ v + hid_bias), f(x) = (tanh(beta x) + 1) / 2."""
     v = _check_binary(v, rbm.v_dim, "visible input")
-    return 0.5 * (np.tanh(rbm.beta * (v @ rbm.w.T + rbm.hid_bias)) + 1.0)
-
-
-def surrogate_derivative(rbm: Rbm, pre_activation) -> np.ndarray:
-    """d/dx of the smoothed hidden map: beta/2 * (1 - tanh^2(beta x))."""
-    t = np.tanh(rbm.beta * np.asarray(pre_activation, dtype=np.float64))
-    return 0.5 * rbm.beta * (1.0 - t ** 2)
+    return 0.5 * (_surrogate_tanh(rbm, v) + 1.0)
 
 
 def reg_objective_terms(rbm: Rbm, batch, lam: float, mu: float,
                         decorrelation_mode: str = "batch") -> float:
     """Deterministic penalty value on the smoothed hidden map.
 
-    lam/2 * ||sum_n h(n)||^2 plus the decorrelation penalty against I (same
-    two modes as the autoencoder objective). The likelihood term is handled
+    The autoencoder's balance and decorrelation penalty (sae._add_penalty)
+    applied to h = surrogate_hidden(batch). The likelihood term is handled
     separately by CD and is not included here.
     """
     _check_penalties(lam, mu, decorrelation_mode)
-    batch = _check_binary(np.atleast_2d(batch), rbm.v_dim, "batch")
-    n, q = batch.shape[0], rbm.h_dim
-    h = surrogate_hidden(rbm, batch)
-    value = 0.5 * lam * np.sum(h.sum(axis=0) ** 2)
-    if decorrelation_mode == "per_sample":
-        sq = np.sum(h ** 2, axis=1)
-        value += 0.5 * mu * np.sum((sq / n) ** 2 - 2.0 * sq / n + q)
-    else:
-        cov = h.T @ h / n
-        value += 0.5 * mu * np.sum((cov - np.eye(q)) ** 2)
-    return float(value)
+    h = surrogate_hidden(rbm, np.atleast_2d(batch))
+    return float(_add_penalty(0.0, h, lam, mu, decorrelation_mode))
 
 
 def penalty_gradients(rbm: Rbm, batch, lam: float, mu: float,
@@ -197,22 +187,11 @@ def penalty_gradients(rbm: Rbm, batch, lam: float, mu: float,
     """Exact gradients of reg_objective_terms (visible bias gets none)."""
     _check_penalties(lam, mu, decorrelation_mode)
     batch = _check_binary(np.atleast_2d(batch), rbm.v_dim, "batch")
-    n = batch.shape[0]
-    pre = batch @ rbm.w.T + rbm.hid_bias
-    h = 0.5 * (np.tanh(rbm.beta * pre) + 1.0)
-    fprime = surrogate_derivative(rbm, pre)
-
-    g_h = np.zeros_like(h)
-    if lam:
-        g_h = g_h + lam * h.sum(axis=0)
-    if mu:
-        if decorrelation_mode == "per_sample":
-            sq = np.sum(h ** 2, axis=1)
-            g_h = g_h + (2.0 * mu / n) * (sq / n - 1.0)[:, None] * h
-        else:
-            a = h.T @ h / n - np.eye(rbm.h_dim)
-            g_h = g_h + (2.0 * mu / n) * (h @ a)
-    g_pre = g_h * fprime
+    t = _surrogate_tanh(rbm, batch)
+    h = 0.5 * (t + 1.0)
+    g_h = _add_penalty_grad(np.zeros_like(h), h, lam, mu, decorrelation_mode)
+    # f'(x) = beta/2 * (1 - tanh^2(beta x))
+    g_pre = g_h * (0.5 * rbm.beta * (1.0 - t ** 2))
     return RbmGradients(
         g_pre.T @ batch,
         np.zeros(rbm.v_dim),
@@ -221,12 +200,11 @@ def penalty_gradients(rbm: Rbm, batch, lam: float, mu: float,
 
 
 def _master_seed(rng) -> int:
-    if isinstance(rng, (int, np.integer)):
-        if rng < 0:
-            raise ConfigError(f"chain seed must be >= 0, got {rng}")
-        return int(rng)
-    gen = np.random.default_rng(rng)
-    return int(gen.integers(0, 2 ** 63))
+    if not isinstance(rng, (int, np.integer)):
+        raise ConfigError(f"chain seed must be an int, got {type(rng).__name__}")
+    if rng < 0:
+        raise ConfigError(f"chain seed must be >= 0, got {rng}")
+    return int(rng)
 
 
 def cd_gradients_with_stats(rbm: Rbm, batch, lam: float, mu: float,

@@ -13,7 +13,8 @@ identity: per_sample mode sums mu/2 * ||(1/N) v(n) v(n)^T - I||_F^2 over
 samples, batch mode penalizes mu/2 * ||(1/N) sum_n v(n) v(n)^T - I||_F^2.
 The balance term pushes each output dimension to average zero over the batch
 (a balanced bit after thresholding); the decorrelation term pushes distinct
-output dimensions toward zero correlation.
+output dimensions toward zero correlation. The RBM head (rbm.py) applies the
+same penalty, through the same two functions, to its smoothed hidden map.
 
 Gradients are exact derivatives of this objective (validated against central
 finite differences in the test suite). All four parameter blocks, encoder and
@@ -35,6 +36,38 @@ def _check_penalties(lam: float, mu: float, decorrelation_mode: str) -> None:
         raise ConfigError(f"penalty weights must be >= 0, got lam={lam}, mu={mu}")
     if decorrelation_mode not in DECORRELATION_MODES:
         raise ConfigError(f"unknown decorrelation_mode {decorrelation_mode!r}")
+
+
+def _add_penalty(value, v, lam: float, mu: float, decorrelation_mode: str):
+    """value plus the balance, then the decorrelation penalty of the N x q
+    unit outputs v."""
+    n, q = v.shape
+    value += 0.5 * lam * np.sum(v.sum(axis=0) ** 2)
+    if decorrelation_mode == "per_sample":
+        # ||(1/N) v v^T - I||_F^2 collapses to a function of ||v||^2.
+        sq = np.sum(v ** 2, axis=1)
+        value += 0.5 * mu * np.sum((sq / n) ** 2 - 2.0 * sq / n + q)
+    else:
+        cov = v.T @ v / n
+        value += 0.5 * mu * np.sum((cov - np.eye(q)) ** 2)
+    return value
+
+
+def _add_penalty_grad(grad, v, lam: float, mu: float, decorrelation_mode: str):
+    """grad plus the derivative of _add_penalty's terms with respect to v;
+    a zero weight adds nothing."""
+    n, q = v.shape
+    if lam:
+        grad = grad + lam * v.sum(axis=0)
+    if mu:
+        if decorrelation_mode == "per_sample":
+            # ((1/N) v v^T - I) v = (||v||^2 / N - 1) v per sample.
+            sq = np.sum(v ** 2, axis=1)
+            grad = grad + (2.0 * mu / n) * (sq / n - 1.0)[:, None] * v
+        else:
+            a = v.T @ v / n - np.eye(q)
+            grad = grad + (2.0 * mu / n) * (v @ a)
+    return grad
 
 
 @dataclass(frozen=True)
@@ -129,17 +162,9 @@ def objective(layer: SaeLayer, batch, lam: float, mu: float,
     """
     _check_penalties(lam, mu, decorrelation_mode)
     batch, _ = _as_rows(np.atleast_2d(batch), layer.in_dim, "batch")
-    n, q = batch.shape[0], layer.out_dim
     v, recon = _passes(layer, batch)
-    r = 0.5 * np.sum((recon - batch) ** 2)
-    r += 0.5 * lam * np.sum(v.sum(axis=0) ** 2)
-    if decorrelation_mode == "per_sample":
-        # ||(1/N) v v^T - I||_F^2 collapses to a function of ||v||^2.
-        sq = np.sum(v ** 2, axis=1)
-        r += 0.5 * mu * np.sum((sq / n) ** 2 - 2.0 * sq / n + q)
-    else:
-        cov = v.T @ v / n
-        r += 0.5 * mu * np.sum((cov - np.eye(q)) ** 2)
+    r = _add_penalty(0.5 * np.sum((recon - batch) ** 2), v, lam, mu,
+                     decorrelation_mode)
     return (float(r), v) if return_output else float(r)
 
 
@@ -148,24 +173,13 @@ def gradients(layer: SaeLayer, batch, lam: float, mu: float,
     """Exact gradients of objective() for all four parameter blocks."""
     _check_penalties(lam, mu, decorrelation_mode)
     batch, _ = _as_rows(np.atleast_2d(batch), layer.in_dim, "batch")
-    n = batch.shape[0]
     v, recon = _passes(layer, batch)
 
     delta_dec = (recon - batch) * (1.0 - recon ** 2)
     d_dec_w = delta_dec.T @ v
     d_dec_b = delta_dec.sum(axis=0)
 
-    g_v = delta_dec @ layer.dec_w
-    if lam:
-        g_v = g_v + lam * v.sum(axis=0)
-    if mu:
-        if decorrelation_mode == "per_sample":
-            # ((1/N) v v^T - I) v = (||v||^2 / N - 1) v per sample.
-            sq = np.sum(v ** 2, axis=1)
-            g_v = g_v + (2.0 * mu / n) * (sq / n - 1.0)[:, None] * v
-        else:
-            a = v.T @ v / n - np.eye(layer.out_dim)
-            g_v = g_v + (2.0 * mu / n) * (v @ a)
+    g_v = _add_penalty_grad(delta_dec @ layer.dec_w, v, lam, mu, decorrelation_mode)
     delta_enc = g_v * (1.0 - v ** 2)
     d_enc_w = delta_enc.T @ batch
     d_enc_b = delta_enc.sum(axis=0)

@@ -280,24 +280,6 @@ def read_codes_file(path) -> tuple[np.ndarray, int]:
     return words, n_bits
 
 
-def write_ids_file(path, ids) -> None:
-    atomic_write(path, "".join(f"{int(v)}\n" for v in ids).encode("utf-8"))
-
-
-def read_ids_file(path) -> np.ndarray:
-    ids = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                ids.append(int(line))
-            except ValueError:
-                raise FormatError(f"{path}: bad id at line {lineno}: {line!r}") from None
-    return np.array(ids, dtype=np.int64)
-
-
 def write_pr_csv(path, table: list[PrPoint]) -> None:
     lines = ["radius,recall,precision,mean_retrieved\n"]
     for row in table:

@@ -161,6 +161,47 @@ class TestMalformedModel:
         assert not (tmp_path / "c.hdhc").exists()
 
 
+class TestNotUtf8:
+    def test_features_csv_exits_2(self, trained, tmp_path):
+        config_path, features_path, _ = trained
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(features_path.read_bytes().replace(b"\n", b"\xff\n", 1))
+        outcome = cmd_train(str(config_path), str(bad), str(tmp_path / "m2.hdhm"))
+        assert outcome.exit_code == 2
+        assert "UTF-8" in outcome.message
+
+    def test_config_exits_1(self, trained, tmp_path):
+        config_path, features_path, _ = trained
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(config_path.read_bytes() + b"# \xe9t\xe9\n")
+        outcome = cmd_train(str(bad), str(features_path), str(tmp_path / "m2.hdhm"))
+        assert outcome.exit_code == 1
+        assert "UTF-8" in outcome.message
+
+
+class TestUnwritableOutput:
+    """An --out path in a missing directory exits 2, naming that path."""
+
+    @pytest.mark.parametrize("command", ["train", "encode", "eval-pr"])
+    def test_exits_2(self, trained, tmp_path, capsys, command):
+        config_path, features_path, model_path = trained
+        codes_path = tmp_path / "c.hdhc"
+        assert cmd_encode(str(model_path), str(features_path),
+                          str(codes_path)).exit_code == 0
+        argv = {
+            "train": ["train", "--config", config_path, "--features", features_path],
+            "encode": ["encode", "--model", model_path, "--features", features_path],
+            "eval-pr": ["eval-pr", "--codes", codes_path, "--features",
+                        features_path, "--mode", "euclidean", "--gt-n", "2"],
+        }[command]
+        out = tmp_path / "missing" / "out"
+        assert main([str(a) for a in argv] + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1] == "status=error exit=2"
+        assert str(out) in captured.err
+        assert not list(tmp_path.rglob("*.tmp"))
+
+
 class TestQueryCommand:
     def make_codes(self, tmp_path, n=8, k=16, seed=0):
         gen = np.random.default_rng(seed)

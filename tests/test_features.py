@@ -15,7 +15,7 @@ from hdhash.features import (
     save_packed,
 )
 from hdhash.pipeline import TrainingConfig, init_model, save_model
-from hdhash.search import PrPoint, write_codes_file, write_ids_file, write_pr_csv
+from hdhash.search import PrPoint, write_codes_file, write_pr_csv
 
 
 def write(path, text):
@@ -110,7 +110,6 @@ WRITERS = {
     "save_model": lambda p: save_model(init_model(TrainingConfig(
         layer_dims=(4, 3), code_bits=2, epochs=1, batch_size=1)), p),
     "write_codes_file": lambda p: write_codes_file(p, np.ones((2, 1), np.uint64), 8),
-    "write_ids_file": lambda p: write_ids_file(p, [4, 5]),
     "write_pr_csv": lambda p: write_pr_csv(p, [PrPoint(0, 0.5, 1.0, 1.0)]),
 }
 

@@ -52,6 +52,19 @@ GOLDEN = {
         codes="155e437b946ac82ae591ff382b8d19efda9397b2282672dbabd91ec31ce8a651",
         history="de9c60077b8b14903c7578c059284b9ff1fabd30cef051a8968e295f7f27939b",
     ),
+    # Zero penalty weights: the balance and decorrelation terms drop out.
+    "cd1-batch-paper-lam0-mu0": dict(
+        config=dict(lam=0.0, mu=0.0),
+        model="41b72f1d9e3fc5edf813457898dc4694dee33e0d39a368738da0b024550fcf07",
+        codes="6c952a5d012bf198a74c6c4c646bd7da15a879ce8fe6a780fb12c33d4de7af19",
+        history="028f7dd6a29e6566fb6d4fa792d21acfb882b9f284b2be466685ef8d0e4de93e",
+    ),
+    "cd1-per_sample-paper-lam0": dict(
+        config=dict(lam=0.0, mu=0.1, decorrelation_mode="per_sample"),
+        model="188e12f3bb612f29b51facbc72c27c355e8c1344f63941134b2106ba3eb5d020",
+        codes="6c952a5d012bf198a74c6c4c646bd7da15a879ce8fe6a780fb12c33d4de7af19",
+        history="6818fa188a800dd7ef4992fe06dfe4795a4e4c9c214a86a4566c119991e854db",
+    ),
 }
 
 

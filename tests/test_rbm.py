@@ -145,6 +145,13 @@ class TestGibbsChain:
         with pytest.raises(ConfigError):
             gibbs_chain(m, np.zeros(2), -1)
 
+    @pytest.mark.parametrize("seed", [np.random.default_rng(0), 1.5, None],
+                             ids=["generator", "float", "none"])
+    def test_non_int_seed_rejected(self, seed):
+        m = Rbm(np.zeros((2, 2)), np.zeros(2), np.zeros(2))
+        with pytest.raises(ConfigError):
+            gibbs_chain(m, np.zeros(2), seed)
+
     def test_zero_steps_returns_start(self):
         gen = np.random.default_rng(2)
         m = random_rbm(4, 3, gen)

@@ -1,8 +1,10 @@
 """Damaged files: every reader fails with an HdhError, never another exception.
 
-Each property starts from a valid file written by hdhash itself and damages
-it: a truncation, one flipped byte, or, for model files, an edit of the
-payload with its checksum recomputed so the edit reaches the parser.
+Each property starts from a valid file written by hdhash itself (or, for the
+CSV features and the config file, in the form hdhash reads) and damages it:
+a truncation, one flipped byte, or, for model files, an edit of the payload
+with its checksum recomputed so the edit reaches the parser. Text files are
+not truncated: one cut at a line end stays valid.
 """
 import struct
 import zlib
@@ -15,13 +17,25 @@ from hypothesis import strategies as st
 from hdhash.codes import pack_bits
 from hdhash.errors import HdhError
 from hdhash.features import FeatureMatrix, load_features, save_packed
-from hdhash.pipeline import TrainingConfig, load_model, save_model, train
+from hdhash.pipeline import (
+    TrainingConfig,
+    config_lines,
+    load_model,
+    parse_config_file,
+    save_model,
+    train,
+)
 from hdhash.search import read_codes_file, write_codes_file
 
-READERS = {
+BINARY_READERS = {
     "model": load_model,
     "codes": read_codes_file,
     "packed": lambda path: load_features(path, "packed-binary"),
+}
+READERS = {
+    **BINARY_READERS,
+    "csv": lambda path: load_features(path, "csv", "last"),
+    "config": parse_config_file,
 }
 
 FUZZ = settings(max_examples=150, deadline=None)
@@ -39,6 +53,10 @@ def files(tmp_path_factory):
     bits = (gen.random((3, 70)) < 0.5).astype(np.uint8)
     write_codes_file(directory / "codes", pack_bits(bits), 70)
     save_packed(FeatureMatrix(gen.normal(size=(3, 2)), [0, 1, 2]), directory / "packed")
+    (directory / "csv").write_text("".join(
+        f"{a:.6g},{b:.6g},{label}\n"
+        for (a, b), label in zip(gen.normal(size=(3, 2)), [0, 1, 2])))
+    (directory / "config").write_text("\n".join(config_lines(config, prefix="")) + "\n")
     blobs = {kind: (directory / kind).read_bytes() for kind in READERS}
     return blobs, directory / "probe"
 
@@ -55,7 +73,7 @@ def test_valid_files_read(files):
 
 
 @FUZZ
-@given(kind=st.sampled_from(sorted(READERS)), data=st.data())
+@given(kind=st.sampled_from(sorted(BINARY_READERS)), data=st.data())
 def test_truncation_rejected(files, kind, data):
     blob = files[0][kind]
     cut = data.draw(st.integers(0, len(blob) - 1), label="cut")

@@ -23,10 +23,8 @@ from hdhash.search import (
     precision_recall,
     radius_search,
     read_codes_file,
-    read_ids_file,
     topk,
     write_codes_file,
-    write_ids_file,
     write_pr_csv,
 )
 
@@ -335,14 +333,6 @@ class TestCodesIo:
         with pytest.raises(ShapeError):
             write_codes_file(p, np.zeros((2, 0), dtype=np.uint64), 0)
         assert not p.exists()
-
-    def test_ids_file(self, tmp_path):
-        p = tmp_path / "ids.txt"
-        write_ids_file(p, [5, 3, 9])
-        assert np.array_equal(read_ids_file(p), [5, 3, 9])
-        p.write_text("1\nx\n")
-        with pytest.raises(FormatError):
-            read_ids_file(p)
 
     def test_pr_csv(self, tmp_path):
         from hdhash.search import PrPoint
