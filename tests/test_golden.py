@@ -1,4 +1,5 @@
-"""Golden bytes: sha256 digests of trained models, codes and R/J histories.
+"""Golden bytes: sha256 digests of trained models, codes, R/J histories and
+PR tables.
 
 Each case trains a small seeded model and hashes three outputs: the saved
 model file, the packed codes from encode_matrix, and the per-iteration
@@ -9,14 +10,23 @@ must never be re-pinned to make a rewrite pass.
 
 eps_sae = eps_rbm = 0 with one allowed repeat makes every interior
 iteration re-run both stages, so the repeat passes are covered too.
+
+The PR cases run `hdhash eval-pr` on seeded codes made by random
+projections of clustered features, so they are spread out and keep the
+class and distance structure (unlike the few distinct codes the small
+trained models give), and pin the PR-CSV bytes and the printed auc= value.
 """
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
-from hdhash.features import FeatureMatrix, normalize
+from hdhash.cli import main
+from hdhash.codes import pack_bits
+from hdhash.features import FeatureMatrix, normalize, save_packed
 from hdhash.pipeline import TrainingConfig, encode_matrix, save_model, train
+from hdhash.search import write_codes_file
 
 GOLDEN = {
     "cd1-batch-paper": dict(
@@ -108,3 +118,54 @@ def test_golden_bytes(name, tmp_path):
     case = GOLDEN[name]
     got = digests(golden_config(**case["config"]), tmp_path)
     assert got == {key: case[key] for key in ("model", "codes", "history")}
+
+
+GOLDEN_PR = {
+    "label-70b": dict(
+        bits=70, args=("--mode", "label"),
+        pr_csv="768ec3ea6c67496cb12d084a2f3213623868bcf63f5a4f39d0143056e6d175c8",
+        auc="f7f29f2189036e587f8e41ebe55b98824903c93454247db04be93c9530c01bd5",
+    ),
+    "label-96b": dict(
+        bits=96, args=("--mode", "label"),
+        pr_csv="a04938b206e2ea5b39efd9700cefc219e1d6f2d78d0619c4be05615df288bafa",
+        auc="ffdf1b427e48806f5bd1958a0ad158d0b801a43b0afece9c462a18e00d53720f",
+    ),
+    "euclidean-70b": dict(
+        bits=70, args=("--mode", "euclidean", "--gt-n", "25"),
+        pr_csv="843d43ba10b43e13b6401e7b01af3144a8c4d93b24e9cf1c5a2e8aa1cd726c50",
+        auc="55b7d6ad8f898713359bb413da17dc5cd4c417d7fbc568ba82c14e3026e95da4",
+    ),
+    "euclidean-96b": dict(
+        bits=96, args=("--mode", "euclidean", "--gt-n", "10"),
+        pr_csv="26f9113f4f086224d5fa6c6570665bebdcb7338256f1ebfc05024b188476310b",
+        auc="31f6b761e289051fec2306573df469a982c8be036fb3df505eaf6c2ae95dce86",
+    ),
+}
+
+
+def golden_pr_inputs(tmp_path, n_bits, seed=5, rows=300, dim=12, classes=5):
+    """A labeled packed features file and the sign codes of n_bits random
+    projections of its rows."""
+    gen = np.random.default_rng(seed)
+    centres = gen.normal(0.0, 2.0, size=(classes, dim))
+    labels = gen.integers(0, classes, size=rows)
+    values = centres[labels] + gen.normal(size=(rows, dim))
+    bits = (values @ gen.normal(size=(dim, n_bits)) >= 0).astype(np.uint8)
+    features, codes = tmp_path / "f.hdh1", tmp_path / "c.hdhc"
+    save_packed(FeatureMatrix(values, labels), features)
+    write_codes_file(codes, pack_bits(bits), n_bits)
+    return features, codes
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PR))
+def test_golden_pr_table(name, tmp_path, capsys):
+    case = GOLDEN_PR[name]
+    features, codes = golden_pr_inputs(tmp_path, case["bits"])
+    out = tmp_path / "pr.csv"
+    argv = ["eval-pr", "--codes", str(codes), "--features", str(features),
+            *case["args"], "--out", str(out)]
+    assert main(argv) == 0
+    auc_text = re.search(r"\bauc=(\S+)", capsys.readouterr().out).group(1)
+    got = {"pr_csv": _sha(out.read_bytes()), "auc": _sha(auc_text.encode("ascii"))}
+    assert got == {key: case[key] for key in ("pr_csv", "auc")}
