@@ -47,7 +47,6 @@ from .search import (
     PRCurve,
     auc,
     ground_truth,
-    hamming_distance,
     precision_recall,
     radius_search,
     topk,

@@ -160,10 +160,9 @@ def cmd_eval_pr(codes_path, features_path, mode, gt_n, out_csv,
             raise DataError("label ground truth requires labeled features "
                             "(declare --label-col last or use a labeled file)")
         rows = np.arange(data.rows)
-        truth = search.ground_truth(data, rows, mode, gt_n)
-        index = search.HammingIndex(words, n_bits, rows, data.labels)
-        queries = [index.code(i) for i in range(index.size)]
-        table = search.pr_table(index, queries, truth, exclude_ids=rows)
+        relevant = search.ground_truth(data, rows, mode, gt_n)
+        index = search.HammingIndex(words, n_bits, rows)
+        table = search.pr_table(index, words, relevant, exclude=rows)
         with _writing(out_csv):
             search.write_pr_csv(out_csv, table)
         area = search.auc(search.curve_from_table(table))

@@ -26,15 +26,12 @@ from .errors import CapacityError, ConfigError, FormatError, ParseError, ShapeEr
 
 PACKED_MAGIC = b"HDH1"
 
-NORM_MODES = ("minmax_symmetric", "zscore_clamped")
-
 
 @dataclass(frozen=True)
 class NormStats:
     """Per-dimension affine transform: normalized = (raw - shift) * scale.
 
-    zscore_clamped additionally clamps the result to [-1, 1]. Constant
-    dimensions get scale 0 and therefore map to 0.
+    Constant dimensions get scale 0 and therefore map to 0.
     """
 
     mode: str
@@ -42,7 +39,7 @@ class NormStats:
     scale: np.ndarray
 
     def __post_init__(self):
-        if self.mode not in NORM_MODES + ("identity",):
+        if self.mode not in ("minmax_symmetric", "identity"):
             raise ConfigError(f"unknown normalization mode {self.mode!r}")
         for name in ("shift", "scale"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
@@ -57,10 +54,7 @@ class NormStats:
             raise ShapeError(
                 f"expected dimension {self.shift.shape[0]}, got {raw.shape[-1]}"
             )
-        out = (raw - self.shift) * self.scale
-        if self.mode == "zscore_clamped":
-            out = np.clip(out, -1.0, 1.0)
-        return out
+        return (raw - self.shift) * self.scale
 
     @classmethod
     def identity(cls, dim: int) -> "NormStats":
@@ -164,8 +158,8 @@ def _load_csv(path, label_col):
                     ) from None
             if label_cell is not None:
                 try:
-                    labels.append(int(label_cell))
-                except ValueError:
+                    labels.append(np.int64(int(label_cell)))
+                except (ValueError, OverflowError):
                     raise ParseError(
                         f"{path}: cannot parse label {label_cell.strip()!r} at row "
                         f"{lineno}, column {width}",
@@ -236,29 +230,24 @@ def save_packed(m: FeatureMatrix, path) -> None:
     atomic_write(path, b"".join(parts))
 
 
-def normalize(m: FeatureMatrix, mode: str = "minmax_symmetric") -> FeatureMatrix:
+def normalize(m: FeatureMatrix) -> FeatureMatrix:
     """Map every dimension into [-1, 1] and record the transform.
 
     Already-normalized matrices (norm_stats set) are returned unchanged,
     which makes normalization idempotent.
     """
-    if mode not in NORM_MODES:
-        raise ConfigError(f"unknown normalization mode {mode!r}")
     if m.norm_stats is not None:
         return m
     vals = m.values
-    if mode == "minmax_symmetric":
-        lo = vals.min(axis=0)
-        hi = vals.max(axis=0)
-        shift = (lo + hi) / 2.0
-        half = (hi - lo) / 2.0
-        scale = np.where(half > 0, 1.0 / np.where(half > 0, half, 1.0), 0.0)
-    else:
-        shift = vals.mean(axis=0)
-        std = vals.std(axis=0)
-        scale = np.where(std > 0, 1.0 / np.where(std > 0, std, 1.0), 0.0)
-    stats = NormStats(mode, shift, scale)
-    return FeatureMatrix(stats.apply(vals), m.labels, stats)
+    lo = vals.min(axis=0)
+    hi = vals.max(axis=0)
+    shift = (lo + hi) / 2.0
+    half = (hi - lo) / 2.0
+    scale = np.where(half > 0, 1.0 / np.where(half > 0, half, 1.0), 0.0)
+    stats = NormStats("minmax_symmetric", shift, scale)
+    # (raw - shift) * scale can round a column's extreme a few ulp past 1,
+    # and train accepts only values in [-1, 1].
+    return FeatureMatrix(np.clip(stats.apply(vals), -1.0, 1.0), m.labels, stats)
 
 
 @dataclass(frozen=True)

@@ -140,15 +140,19 @@ def _as_rows(v, dim: int, what: str) -> tuple[np.ndarray, bool]:
     return rows, single
 
 
+def _encode(layer: SaeLayer, rows: np.ndarray) -> np.ndarray:
+    return np.tanh(rows @ layer.enc_w.T + layer.enc_b)
+
+
 def forward(layer: SaeLayer, v_prev) -> np.ndarray:
     """Encoder pass tanh(enc_w @ v + enc_b); accepts a vector or row matrix."""
     rows, single = _as_rows(v_prev, layer.in_dim, "input")
-    out = np.tanh(rows @ layer.enc_w.T + layer.enc_b)
+    out = _encode(layer, rows)
     return out[0] if single else out
 
 
 def _passes(layer: SaeLayer, batch: np.ndarray):
-    v = np.tanh(batch @ layer.enc_w.T + layer.enc_b)
+    v = _encode(layer, batch)
     recon = np.tanh(v @ layer.dec_w.T + layer.dec_b)
     return v, recon
 

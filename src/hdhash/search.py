@@ -5,12 +5,13 @@ so results are exact, never approximate. All rankings break distance ties by
 ascending id, which makes every result deterministic and testable against a
 naive re-sort oracle.
 
-Precision-recall curves sweep the Hamming radius 0..k. At each radius a
-query's precision is relevant-retrieved / retrieved, or 1.0 when nothing was
-retrieved (vacuous precision, so curves start sensibly near recall 0); the
-reported curve keeps the first point for each distinct mean recall. Reported
-AUC is the trapezoid over those points, anchored at recall 0 with the first
-point's precision.
+Precision-recall curves sweep the Hamming radius 0..k over a Q x N bool
+relevance matrix on index positions (precision_recall builds it from id
+sets). At each radius a query's precision is relevant-retrieved / retrieved,
+or 1.0 when nothing was retrieved (vacuous precision, so curves start
+sensibly near recall 0); the reported curve keeps the first point for each
+distinct mean recall. Reported AUC is the trapezoid over those points,
+anchored at recall 0 with the first point's precision.
 """
 from __future__ import annotations
 
@@ -77,23 +78,15 @@ class HammingIndex:
     def size(self) -> int:
         return self.words.shape[0]
 
-    def code(self, position: int) -> HashCode:
-        return HashCode(self.n_bits, self.words[position].copy())
 
-
-def hamming_distance(a: HashCode, b: HashCode) -> int:
-    """Number of differing bits between two equal-length codes."""
-    if a.n_bits != b.n_bits:
-        raise ShapeError(f"code lengths differ: {a.n_bits} vs {b.n_bits}")
-    return int(hamming_words(a.words, b.words))
-
-
-def _query_distances(index: HammingIndex, query: HashCode) -> np.ndarray:
+def _query_words(index: HammingIndex, query: HashCode) -> np.ndarray:
     if query.n_bits != index.n_bits:
-        raise ShapeError(
-            f"query has {query.n_bits} bits, index stores {index.n_bits}"
-        )
-    return hamming_words(index.words, query.words[None, :])
+        raise ShapeError(f"query has {query.n_bits} bits, index stores {index.n_bits}")
+    return query.words
+
+
+def _query_distances(index: HammingIndex, query_words: np.ndarray) -> np.ndarray:
+    return hamming_words(index.words, query_words[None, :])
 
 
 def topk(index: HammingIndex, query: HashCode, k_results: int) -> list[tuple[int, int]]:
@@ -102,7 +95,7 @@ def topk(index: HammingIndex, query: HashCode, k_results: int) -> list[tuple[int
         raise ConfigError(f"k_results must be >= 1, got {k_results}")
     if index.size == 0:
         return []
-    dists = _query_distances(index, query)
+    dists = _query_distances(index, _query_words(index, query))
     order = np.lexsort((index.ids, dists))[:k_results]
     return [(int(index.ids[i]), int(dists[i])) for i in order]
 
@@ -111,17 +104,18 @@ def radius_search(index: HammingIndex, query: HashCode, radius: int) -> list[tup
     """All codes within the given Hamming radius, sorted by (distance, id)."""
     if not 0 <= radius <= index.n_bits:
         raise ConfigError(f"radius must be in 0..{index.n_bits}, got {radius}")
-    dists = _query_distances(index, query)
+    dists = _query_distances(index, _query_words(index, query))
     hit = np.flatnonzero(dists <= radius)
     order = hit[np.lexsort((index.ids[hit], dists[hit]))]
     return [(int(index.ids[i]), int(dists[i])) for i in order]
 
 
-def ground_truth(data: FeatureMatrix, query_rows, mode: str, n_gt: int = 0) -> list[set[int]]:
-    """Relevance sets for query rows of the dataset (the row itself excluded).
+def ground_truth(data: FeatureMatrix, query_rows, mode: str, n_gt: int = 0) -> np.ndarray:
+    """Q x rows bool relevance matrix for query rows of the dataset.
 
     "label" marks every same-class row relevant; "euclidean" marks the n_gt
-    nearest rows in the original feature space (ties by row id).
+    nearest rows in the original feature space (ties by row id). A query's
+    own row is never relevant to it.
     """
     if mode not in GROUND_TRUTH_MODES:
         raise ConfigError(f"unknown ground-truth mode {mode!r}")
@@ -133,19 +127,17 @@ def ground_truth(data: FeatureMatrix, query_rows, mode: str, n_gt: int = 0) -> l
     if mode == "label":
         if data.labels is None:
             raise ConfigError("label ground truth requires a labeled dataset")
-        return [
-            set(np.flatnonzero(data.labels == data.labels[q]).tolist()) - {int(q)}
-            for q in query_rows
-        ]
-    if n_gt < 1:
-        raise ConfigError(f"euclidean ground truth needs n_gt >= 1, got {n_gt}")
-    out = []
-    for q in query_rows:
-        d = np.linalg.norm(data.values - data.values[q], axis=1)
-        d[q] = np.inf  # self is never its own neighbor
-        order = np.lexsort((np.arange(data.rows), d))
-        out.append(set(int(i) for i in order[:n_gt]))
-    return out
+        relevant = data.labels[query_rows, None] == data.labels[None, :]
+    else:
+        if n_gt < 1:
+            raise ConfigError(f"euclidean ground truth needs n_gt >= 1, got {n_gt}")
+        relevant = np.zeros((query_rows.size, data.rows), dtype=bool)
+        for qi, q in enumerate(query_rows):
+            d = np.linalg.norm(data.values - data.values[q], axis=1)
+            d[q] = np.inf  # self is never its own neighbor
+            relevant[qi, np.lexsort((np.arange(data.rows), d))[:n_gt]] = True
+    relevant[np.arange(query_rows.size), query_rows] = False
+    return relevant
 
 
 @dataclass(frozen=True)
@@ -174,37 +166,42 @@ class PRCurve:
         object.__setattr__(self, "points", pts)
 
 
-def pr_table(index: HammingIndex, queries, truth, exclude_ids=None) -> list[PrPoint]:
+def pr_table(index: HammingIndex, query_words, relevant, exclude=None) -> list[PrPoint]:
     """Mean precision/recall/retrieved per radius 0..k over all queries.
 
-    truth holds one non-empty set of relevant ids per query. exclude_ids
-    optionally removes one indexed id per query from its retrieved sets
+    query_words packs Q codes of the index's length; relevant[q] marks the
+    index positions relevant to query q, at least one each. exclude
+    optionally names one index position per query that no radius retrieves
     (use it when queries are rows of the index itself).
     """
-    queries = list(queries)
-    if len(truth) != len(queries):
-        raise ShapeError("need exactly one relevance set per query")
-    if exclude_ids is not None and len(exclude_ids) != len(queries):
-        raise ShapeError("need exactly one excluded id per query")
-    if not queries:
+    query_words = np.asarray(query_words, dtype=np.uint64)
+    relevant = np.asarray(relevant, dtype=bool)
+    n_queries = len(query_words)
+    if (query_words.shape != (n_queries, index.words.shape[1])
+            or relevant.shape != (n_queries, index.size)):
+        raise ShapeError(f"need {index.words.shape[1]} words and {index.size} relevance "
+                         f"flags per query, got {query_words.shape} and {relevant.shape}")
+    if pad_bits_set(query_words, index.n_bits):
+        raise DomainError("trailing pad bits of every query code must be zero")
+    if exclude is not None:
+        exclude = np.asarray(exclude, dtype=np.int64)
+        if exclude.shape != (n_queries,) or np.any((exclude < 0) | (exclude >= index.size)):
+            raise ShapeError("need one excluded index position per query")
+    if not n_queries:
         raise ShapeError("need at least one query")
+    rel_sizes = relevant.sum(axis=1)
+    if not rel_sizes.all():
+        raise DataError(f"query {int(np.argmin(rel_sizes))} has no relevant position")
     k = index.n_bits
-    id_to_pos = {int(v): i for i, v in enumerate(index.ids)}
 
-    n_ret = np.zeros((len(queries), k + 1), dtype=np.int64)
-    n_rel = np.zeros((len(queries), k + 1), dtype=np.int64)
-    rel_sizes = np.zeros(len(queries), dtype=np.int64)
-    for qi, (query, relevant) in enumerate(zip(queries, truth)):
-        if not relevant:
-            raise DataError(f"query {qi} has an empty relevance set")
-        rel_sizes[qi] = len(relevant)
-        dists = _query_distances(index, query)
-        keep = np.ones(index.size, dtype=bool)
-        if exclude_ids is not None and int(exclude_ids[qi]) in id_to_pos:
-            keep[id_to_pos[int(exclude_ids[qi])]] = False
-        rel_mask = np.isin(index.ids, list(relevant)) & keep
-        n_ret[qi] = np.bincount(dists[keep], minlength=k + 1).cumsum()
-        n_rel[qi] = np.bincount(dists[rel_mask], minlength=k + 1).cumsum()
+    n_ret = np.zeros((n_queries, k + 1), dtype=np.int64)
+    n_rel = np.zeros((n_queries, k + 1), dtype=np.int64)
+    for qi in range(n_queries):
+        dists = _query_distances(index, query_words[qi])
+        if exclude is not None:
+            dists[exclude[qi]] = k + 1  # beyond every radius
+        n_ret[qi] = np.bincount(dists, minlength=k + 2)[:k + 1].cumsum()
+        n_rel[qi] = np.bincount(dists[relevant[qi]], minlength=k + 2)[:k + 1].cumsum()
 
     rows = []
     for radius in range(k + 1):
@@ -226,9 +223,19 @@ def curve_from_table(table: list[PrPoint]) -> PRCurve:
     return PRCurve(tuple(points))
 
 
-def precision_recall(index: HammingIndex, queries, truth, exclude_ids=None) -> PRCurve:
-    """PR curve over the radius sweep, one point per distinct mean recall."""
-    return curve_from_table(pr_table(index, queries, truth, exclude_ids))
+def precision_recall(index: HammingIndex, queries, truth) -> PRCurve:
+    """PR curve of HashCode queries, each with a set of relevant ids held by
+    the index: one point per distinct mean recall."""
+    queries = list(queries)
+    if len(truth) != len(queries):
+        raise ShapeError("need exactly one relevance set per query")
+    relevant = np.zeros((len(queries), index.size), dtype=bool)
+    for qi, ids in enumerate(truth):
+        if not np.isin(list(ids), index.ids).all():
+            raise DataError(f"query {qi} names a relevant id the index does not hold")
+        relevant[qi] = np.isin(index.ids, list(ids))
+    words = np.array([_query_words(index, q) for q in queries], dtype=np.uint64)
+    return curve_from_table(pr_table(index, words, relevant))
 
 
 def auc(curve: PRCurve) -> float:

@@ -1,11 +1,14 @@
+import os
 import struct
 import subprocess
 import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hdhash
 from hdhash.cli import (
     cmd_encode,
     cmd_eval_pr,
@@ -150,7 +153,9 @@ class TestMalformedModel:
         (b"norm.mode=", b"norm.m\xffde="),                  # not UTF-8
         (b"config.seed=1", b"config.seed=x"),               # bad config echo
         (b"config.layer_dims=4,3", b"config.layer_dims=4,5"),  # dims disagree
-    ], ids=["bad-number", "not-utf8", "bad-config-echo", "dims-disagree"])
+        (b"norm.mode=minmax_symmetric", b"norm.mode=zscore_clamped"),  # no such mode
+    ], ids=["bad-number", "not-utf8", "bad-config-echo", "dims-disagree",
+            "unknown-norm-mode"])
     def test_encode_exits_2(self, trained, tmp_path, old, new):
         _, features_path, model_path = trained
         rewrite_payload(model_path, old, new)
@@ -344,8 +349,11 @@ class TestMainEntry:
         assert "distance=0" in out.splitlines()[-2] or "distance=0" in out
 
     def test_console_script_runs(self, tmp_path):
+        # The child process imports the same hdhash package as the tests.
+        path = [str(Path(hdhash.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
         result = subprocess.run(
             [sys.executable, "-m", "hdhash.cli", "query", "--codes",
              str(tmp_path / "missing.hdhc"), "--q", "0000000000000000", "--k", "1"],
-            capture_output=True, text=True)
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
         assert result.returncode == 2

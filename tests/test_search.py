@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdhash.codes import HashCode, pack_bits
+from hdhash.codes import HashCode, hamming_words, pack_bits
 from hdhash.errors import (
     ConfigError,
     DataError,
@@ -18,7 +18,6 @@ from hdhash.search import (
     PRCurve,
     auc,
     ground_truth,
-    hamming_distance,
     pr_table,
     precision_recall,
     radius_search,
@@ -42,31 +41,40 @@ def random_index(gen, n, k, labels=None):
     return index, bits
 
 
+def distance(a: HashCode, b: HashCode) -> int:
+    return int(hamming_words(a.words, b.words))
+
+
 class TestHammingDistance:
     def test_identical(self):
         c = code_of([1, 0, 1, 1])
-        assert hamming_distance(c, c) == 0
+        assert distance(c, c) == 0
 
     def test_hand_count(self):
-        assert hamming_distance(code_of([1, 0, 1, 0]), code_of([0, 0, 1, 1])) == 2
+        assert distance(code_of([1, 0, 1, 0]), code_of([0, 0, 1, 1])) == 2
 
     def test_complement_full_width(self):
         bits = (np.random.default_rng(0).random(64) < 0.5).astype(np.uint8)
-        assert hamming_distance(code_of(bits), code_of(1 - bits)) == 64
+        assert distance(code_of(bits), code_of(1 - bits)) == 64
 
     def test_length_mismatch(self):
+        # Codes of different lengths are never compared.
+        index = HammingIndex(pack_bits(np.zeros((2, 2), dtype=np.uint8)), 2, np.arange(2))
+        query = code_of([1, 0, 1])
         with pytest.raises(ShapeError):
-            hamming_distance(code_of([1, 0]), code_of([1, 0, 1]))
+            radius_search(index, query, 1)
+        with pytest.raises(ShapeError):
+            precision_recall(index, [query], [{0}])
 
     @given(st.integers(min_value=1, max_value=100), st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=60, deadline=None)
     def test_metric_axioms(self, k, seed):
         gen = np.random.default_rng(seed)
         a, b, c = (code_of((gen.random(k) < 0.5).astype(np.uint8)) for _ in range(3))
-        dab = hamming_distance(a, b)
-        assert dab == hamming_distance(b, a)
+        dab = distance(a, b)
+        assert dab == distance(b, a)
         assert (dab == 0) == (a == b)
-        assert dab <= hamming_distance(a, c) + hamming_distance(c, b)
+        assert dab <= distance(a, c) + distance(c, b)
         assert 0 <= dab <= k
 
 
@@ -170,25 +178,44 @@ class TestRadiusSearch:
             radius_search(index, code_of(np.zeros(8, dtype=np.uint8)), 9)
 
 
+def positions(*rows, n):
+    """A bool relevance matrix with the given positions set in each row."""
+    relevant = np.zeros((len(rows), n), dtype=bool)
+    for qi, row in enumerate(rows):
+        relevant[qi, list(row)] = True
+    return relevant
+
+
+def random_relevance(gen, n_queries, n, size):
+    return np.array([np.isin(np.arange(n), gen.choice(n, size=size, replace=False))
+                     for _ in range(n_queries)])
+
+
 class TestGroundTruth:
     def test_label_pairs(self):
         data = FeatureMatrix(np.ones((2, 2)), np.array([3, 3]))
         truth = ground_truth(data, [0, 1], "label")
-        assert truth == [{1}, {0}]
+        assert np.array_equal(truth, positions({1}, {0}, n=2))
 
     def test_collinear_euclidean(self):
         data = FeatureMatrix(np.array([[0.0], [1.0], [10.0]]))
         truth = ground_truth(data, [0], "euclidean", n_gt=1)
-        assert truth == [{1}]
+        assert np.array_equal(truth, positions({1}, n=3))
 
     def test_euclidean_matches_naive_sort(self):
         gen = np.random.default_rng(11)
         data = FeatureMatrix(gen.normal(size=(25, 4)))
         truth = ground_truth(data, np.arange(25), "euclidean", n_gt=5)
+        assert truth.shape == (25, 25) and truth.dtype == bool
         for q in range(25):
             d = np.linalg.norm(data.values - data.values[q], axis=1)
             order = sorted((float(d[i]), i) for i in range(25) if i != q)
-            assert truth[q] == {i for _, i in order[:5]}
+            assert set(np.flatnonzero(truth[q]).tolist()) == {i for _, i in order[:5]}
+
+    def test_self_never_relevant(self):
+        data = FeatureMatrix(np.arange(4.0).reshape(4, 1))
+        truth = ground_truth(data, [2, 0], "euclidean", n_gt=4)
+        assert np.array_equal(truth, positions({0, 1, 3}, {1, 2, 3}, n=4))
 
     def test_label_mode_needs_labels(self):
         data = FeatureMatrix(np.ones((3, 2)))
@@ -209,8 +236,8 @@ class TestPrecisionRecall:
             [1, 1, 1, 1],   # relevant, distance 4
         ], dtype=np.uint8)
         index = HammingIndex(pack_bits(bits), k, np.arange(5))
-        query = code_of([0, 0, 0, 0])
-        rows = pr_table(index, [query], [{0, 1, 3, 4}])
+        query = pack_bits(np.zeros((1, 4), dtype=np.uint8))
+        rows = pr_table(index, query, positions({0, 1, 3, 4}, n=5))
         at0 = rows[0]
         assert at0.precision == pytest.approx(2 / 3)
         assert at0.recall == pytest.approx(1 / 2)
@@ -219,9 +246,8 @@ class TestPrecisionRecall:
     def test_recall_non_decreasing_and_complete(self):
         gen = np.random.default_rng(12)
         index, bits = random_index(gen, 30, 8)
-        queries = [code_of((gen.random(8) < 0.5).astype(np.uint8)) for _ in range(5)]
-        truth = [set(gen.choice(30, size=4, replace=False).tolist()) for _ in range(5)]
-        rows = pr_table(index, queries, truth)
+        queries = pack_bits((gen.random((5, 8)) < 0.5).astype(np.uint8))
+        rows = pr_table(index, queries, random_relevance(gen, 5, 30, 4))
         recalls = [r.recall for r in rows]
         assert all(a <= b + 1e-12 for a, b in zip(recalls, recalls[1:]))
         assert recalls[-1] == pytest.approx(1.0)
@@ -229,10 +255,10 @@ class TestPrecisionRecall:
     def test_matches_naive_recomputation(self):
         gen = np.random.default_rng(13)
         index, bits = random_index(gen, 30, 8)
-        qbits = [(gen.random(8) < 0.5).astype(np.uint8) for _ in range(4)]
-        queries = [code_of(b) for b in qbits]
-        truth = [set(gen.choice(30, size=5, replace=False).tolist()) for _ in range(4)]
-        rows = pr_table(index, queries, truth)
+        qbits = (gen.random((4, 8)) < 0.5).astype(np.uint8)
+        relevant = random_relevance(gen, 4, 30, 5)
+        rows = pr_table(index, pack_bits(qbits), relevant)
+        truth = [set(np.flatnonzero(r).tolist()) for r in relevant]
         expected = pr_direct([b.tolist() for b in bits], index.ids,
                              [b.tolist() for b in qbits], truth, 8)
         for got, (radius, recall, precision, retrieved) in zip(rows, expected):
@@ -244,9 +270,9 @@ class TestPrecisionRecall:
     def test_self_exclusion_matches_naive(self):
         gen = np.random.default_rng(14)
         index, bits = random_index(gen, 20, 8)
-        queries = [code_of(bits[i]) for i in range(20)]
+        relevant = ~np.eye(20, dtype=bool)
+        rows = pr_table(index, index.words, relevant, exclude=np.arange(20))
         truth = [set(range(20)) - {i} for i in range(20)]
-        rows = pr_table(index, queries, truth, exclude_ids=np.arange(20))
         expected = pr_direct([b.tolist() for b in bits], index.ids,
                              [b.tolist() for b in bits], truth, 8,
                              exclude=list(range(20)))
@@ -255,12 +281,60 @@ class TestPrecisionRecall:
             assert got.precision == pytest.approx(precision)
             assert got.mean_retrieved == pytest.approx(retrieved)
 
+    @given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=40),
+           st.sampled_from([1, 7, 64, 70, 96]), st.booleans(),
+           st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_property_matches_naive(self, n_queries, n, k, excluding, seed):
+        gen = np.random.default_rng(seed)
+        index, bits = random_index(gen, n, k)
+        qbits = (gen.random((n_queries, k)) < gen.random()).astype(np.uint8)
+        relevant = gen.random((n_queries, n)) < gen.random()
+        relevant[np.arange(n_queries), gen.integers(0, n, n_queries)] = True
+        exclude = gen.integers(0, n, n_queries) if excluding else None
+        rows = pr_table(index, pack_bits(qbits), relevant, exclude=exclude)
+        truth = [set(np.flatnonzero(r).tolist()) for r in relevant]
+        expected = pr_direct([b.tolist() for b in bits], index.ids,
+                             [b.tolist() for b in qbits], truth, k,
+                             exclude=None if exclude is None else exclude.tolist())
+        assert len(rows) == len(expected) == k + 1
+        for got, (radius, recall, precision, retrieved) in zip(rows, expected):
+            assert got.radius == radius
+            assert got.recall == pytest.approx(recall, rel=1e-12)
+            assert got.precision == pytest.approx(precision, rel=1e-12)
+            assert got.mean_retrieved == pytest.approx(retrieved, rel=1e-12)
+
     def test_empty_relevance_rejected(self):
         gen = np.random.default_rng(15)
         index, _ = random_index(gen, 5, 8)
         with pytest.raises(DataError) as err:
-            pr_table(index, [code_of(np.zeros(8, dtype=np.uint8))], [set()])
+            pr_table(index, np.zeros((1, 1), dtype=np.uint64),
+                     np.zeros((1, 5), dtype=bool))
         assert "query 0" in str(err.value)
+
+    def test_shape_checks(self):
+        gen = np.random.default_rng(15)
+        index, _ = random_index(gen, 5, 70)
+        words = np.zeros((2, 2), dtype=np.uint64)
+        relevant = np.ones((2, 5), dtype=bool)
+        for bad in (dict(query_words=words[:, :1]),
+                    dict(relevant=relevant[:1]),
+                    dict(exclude=[0]),
+                    dict(exclude=[0, 5]),
+                    dict(query_words=words[:0], relevant=relevant[:0])):
+            args = dict(query_words=words, relevant=relevant, exclude=None) | bad
+            with pytest.raises(ShapeError):
+                pr_table(index, **args)
+        with pytest.raises(DomainError):
+            pr_table(index, np.array([[0, 1 << 6]] * 2, dtype=np.uint64), relevant)
+
+    def test_unknown_relevant_id_rejected(self):
+        gen = np.random.default_rng(16)
+        index, _ = random_index(gen, 5, 8)
+        query = code_of(np.zeros(8, dtype=np.uint8))
+        with pytest.raises(DataError) as err:
+            precision_recall(index, [query, query], [{0, 1}, {2, 99}])
+        assert "query 1" in str(err.value)
 
     def test_curve_strictly_increasing(self):
         gen = np.random.default_rng(16)
