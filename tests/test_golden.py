@@ -15,6 +15,11 @@ The PR cases run `hdhash eval-pr` on seeded codes made by random
 projections of clustered features, so they are spread out and keep the
 class and distance structure (unlike the few distinct codes the small
 trained models give), and pin the PR-CSV bytes and the printed auc= value.
+
+The search cases pin topk/radius_search results and `hdhash query` stdout
+over tie-heavy indexes, and the Euclidean cases pin ground_truth matrices
+on features with exact duplicate rows; both were recorded before the
+selection kernels were rewritten.
 """
 import hashlib
 import re
@@ -23,10 +28,16 @@ import numpy as np
 import pytest
 
 from hdhash.cli import main
-from hdhash.codes import pack_bits
+from hdhash.codes import HashCode, pack_bits
 from hdhash.features import FeatureMatrix, normalize, save_packed
 from hdhash.pipeline import TrainingConfig, encode_matrix, save_model, train
-from hdhash.search import write_codes_file
+from hdhash.search import (
+    HammingIndex,
+    ground_truth,
+    radius_search,
+    topk,
+    write_codes_file,
+)
 
 GOLDEN = {
     "cd1-batch-paper": dict(
@@ -169,3 +180,131 @@ def test_golden_pr_table(name, tmp_path, capsys):
     auc_text = re.search(r"\bauc=(\S+)", capsys.readouterr().out).group(1)
     got = {"pr_csv": _sha(out.read_bytes()), "auc": _sha(auc_text.encode("ascii"))}
     assert got == {key: case[key] for key in ("pr_csv", "auc")}
+
+
+# Search and selection. The index draws most codes from a handful of
+# distinct codes, so every query meets exact duplicates and long runs of
+# equal distances, and the id tie-break decides most ranks. The cut of
+# k = 100 falls inside such a run, and k = N + 5 asks for more codes than
+# the index holds.
+GOLDEN_SEARCH = {
+    "32b-increasing": dict(
+        bits=32, permuted=False,
+        results="9172d68823af6d1a0e8be6c8ef5c699a7a37b8b8121261f87cbe378baf264f0e",
+    ),
+    "32b-permuted": dict(
+        bits=32, permuted=True,
+        results="aac58ec2f137e725f48ef77e6a84072245371beef76dd634c6f0672110f79882",
+    ),
+    "64b-increasing": dict(
+        bits=64, permuted=False,
+        results="0ec5e73e237ce8093cc0a8e4c9259fdf50bbb9c268a0aa5b14f88d3382f9403f",
+    ),
+    "64b-permuted": dict(
+        bits=64, permuted=True,
+        results="783c352a2ac51ec4a8e8e76c0ee05b9e8a9f9f60d9c4f6caefaf423bbee568cf",
+    ),
+    "96b-increasing": dict(
+        bits=96, permuted=False,
+        results="f4f6e7c6d319c17b1a0c56c23af168ed89cb27433f452c5f862599dcc24b7dff",
+    ),
+    "96b-permuted": dict(
+        bits=96, permuted=True,
+        results="48054527913a16bc42f031c6db045ccdd3f55a5ea1e2553ad49e5d49fcd2a6b4",
+    ),
+    "130b-increasing": dict(
+        bits=130, permuted=False,
+        results="6d67dc504ff1538940269b8117ede2c89962ef4620f6106b874c4bdf912785aa",
+    ),
+    "130b-permuted": dict(
+        bits=130, permuted=True,
+        results="44c28cec1a68e892a60fe983aa3c34e9491797b68a60bc4c688c3047a507075c",
+    ),
+}
+
+GOLDEN_QUERY = {
+    32: "5964880149337a3b784b8f9e97a21dc4412d72df841fa1e42842cc4fa58e20bb",
+    64: "62486e5ce01bbfc21b496f0554ba8d804c044d73e119a0cbd565491510b75948",
+    96: "6b5fdf6b22e45c063c9d96bdb3c5dd5b7c5a7ff9bff5b6e0ba7992e2ac3b7513",
+    130: "d5a389307451c99c24c73ddd8f7ac068beefec2a9f27788de64df7931592fa12",
+}
+
+SEARCH_ROWS = 300
+
+
+def tie_heavy_codes(n_bits, seed=13, rows=SEARCH_ROWS, distinct=6):
+    """Packed codes and query bits: each row copies one of a few base codes,
+    and one row in four then flips each bit with probability 1/16."""
+    gen = np.random.default_rng(seed + n_bits)
+    base = (gen.random((distinct, n_bits)) < 0.5).astype(np.uint8)
+    bits = base[gen.integers(0, distinct, size=rows)]
+    noisy = gen.random(rows) < 0.25
+    flips = (gen.random((rows, n_bits)) < 1 / 16) & noisy[:, None]
+    bits = bits ^ flips.astype(np.uint8)
+    queries = np.vstack([bits[[0, 7, 150]], base[:2],
+                         (gen.random((2, n_bits)) < 0.5).astype(np.uint8)])
+    return pack_bits(bits), queries
+
+
+def search_lines(n_bits, permuted):
+    words, queries = tie_heavy_codes(n_bits)
+    ids = np.arange(SEARCH_ROWS, dtype=np.int64) * 3 + 11
+    if permuted:
+        ids = np.random.default_rng(n_bits).permutation(ids)
+    index = HammingIndex(words, n_bits, ids)
+    lines = []
+    for qi, qbits in enumerate(queries):
+        query = HashCode.from_bits(qbits)
+        for k in (1, 100, SEARCH_ROWS + 5):
+            lines += [f"topk {qi} {k} {i} {d}\n" for i, d in topk(index, query, k)]
+        for radius in (0, n_bits // 16, n_bits // 4, n_bits):
+            lines += [f"radius {qi} {radius} {i} {d}\n"
+                      for i, d in radius_search(index, query, radius)]
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SEARCH))
+def test_golden_search(name):
+    case = GOLDEN_SEARCH[name]
+    text = search_lines(case["bits"], case["permuted"])
+    assert _sha(text.encode("ascii")) == case["results"]
+
+
+@pytest.mark.parametrize("n_bits", sorted(GOLDEN_QUERY))
+def test_golden_query_stdout(n_bits, tmp_path, capsys):
+    words, queries = tie_heavy_codes(n_bits)
+    path = tmp_path / "c.hdhc"
+    write_codes_file(path, words, n_bits)
+    for qbits in queries:
+        for k in (1, 100, SEARCH_ROWS + 5):
+            argv = ["query", "--codes", str(path),
+                    "--q", HashCode.from_bits(qbits).to_hex(), "--k", str(k)]
+            assert main(argv) == 0
+    assert _sha(capsys.readouterr().out.encode("utf-8")) == GOLDEN_QUERY[n_bits]
+
+
+# Euclidean ground truth on integer grid points: rows repeat exactly and
+# many distances tie, so ties fall at the gt_n boundary; gt_n = 79, 80 and
+# 100 reach or pass the 80 rows. Query rows repeat and come out of order.
+GOLDEN_GT = {
+    1: "b9bf471bac6004ab295ea67f06ec135ea1552a91160b7e6ea623eb1990196a30",
+    4: "560f7c409e81767c899f65fea0b15432fb539907ad0b179f6c55a8a697ecf4c3",
+    10: "d988442a4ca406b3741c4d527367b82aa1b25875abc9d1c19417a30a64b7169b",
+    79: "a51ac858729a6a311a7bf11eb071eda8f0869328dfdbe3d6925963be992c21f4",
+    80: "a51ac858729a6a311a7bf11eb071eda8f0869328dfdbe3d6925963be992c21f4",
+    100: "a51ac858729a6a311a7bf11eb071eda8f0869328dfdbe3d6925963be992c21f4",
+}
+
+
+def grid_features(seed=17, rows=80, dim=3):
+    gen = np.random.default_rng(seed)
+    return FeatureMatrix(gen.integers(0, 3, size=(rows, dim)).astype(np.float64))
+
+
+@pytest.mark.parametrize("n_gt", sorted(GOLDEN_GT))
+def test_golden_euclidean_ground_truth(n_gt):
+    data = grid_features()
+    query_rows = np.concatenate([np.arange(data.rows), [5, 5, 0, 79]])
+    truth = ground_truth(data, query_rows, "euclidean", n_gt)
+    assert truth.dtype == bool
+    assert _sha(np.packbits(truth).tobytes()) == GOLDEN_GT[n_gt]
