@@ -119,5 +119,13 @@ def unpack_bits(words: np.ndarray, n_bits: int) -> np.ndarray:
 
 
 def hamming_words(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Popcount of XOR, summed over the word axis."""
-    return np.bitwise_count(np.bitwise_xor(a, b)).sum(axis=-1).astype(np.int64)
+    """Popcount of XOR, summed over the word axis, as int64.
+
+    a and b hold the same number of words on their last axis; the leading
+    axes broadcast. The sum runs one word at a time into the int64 result,
+    so no temporary holds every word at once.
+    """
+    total = np.bitwise_count(a[..., 0] ^ b[..., 0]).astype(np.int64)
+    for j in range(1, max(a.shape[-1], b.shape[-1])):
+        total += np.bitwise_count(a[..., j] ^ b[..., j])
+    return total

@@ -3,7 +3,10 @@
 Search is a linear scan over packed codes (XOR + popcount on 64-bit words),
 so results are exact, never approximate. All rankings break distance ties by
 ascending id, which makes every result deterministic and testable against a
-naive re-sort oracle.
+naive re-sort oracle. Top-k and Euclidean ground truth select rather than
+sort: a partition finds the k-th smallest distance, and only the candidates
+at or below it are ordered, by (distance, id), so a run of ties at the cut
+still goes to the lowest ids.
 
 Precision-recall curves sweep the Hamming radius 0..k over a Q x N bool
 relevance matrix on index positions (precision_recall builds it from id
@@ -46,6 +49,8 @@ class HammingIndex:
     labels: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.n_bits < 1:
+            raise ShapeError(f"codes need at least 1 bit, got {self.n_bits}")
         words = np.asarray(self.words, dtype=np.uint64)
         if words.ndim != 2 or words.shape[1] != words_per_code(self.n_bits):
             raise ShapeError(
@@ -89,6 +94,19 @@ def _query_distances(index: HammingIndex, query_words: np.ndarray) -> np.ndarray
     return hamming_words(index.words, query_words[None, :])
 
 
+def _smallest(keys: np.ndarray, k: int, tiebreak: np.ndarray) -> np.ndarray:
+    """Positions of the k smallest keys, ordered by (key, tiebreak).
+
+    A partition finds the k-th smallest key; only the candidates at or below
+    it are sorted, so the whole run of ties at the cut competes on tiebreak.
+    """
+    k = min(k, len(keys))
+    cut = np.partition(keys, k - 1)[k - 1]
+    candidates = np.flatnonzero(keys <= cut)
+    order = np.lexsort((tiebreak[candidates], keys[candidates]))
+    return candidates[order[:k]]
+
+
 def topk(index: HammingIndex, query: HashCode, k_results: int) -> list[tuple[int, int]]:
     """The exact k nearest codes as (id, distance), ties broken by id."""
     if k_results < 1:
@@ -96,7 +114,7 @@ def topk(index: HammingIndex, query: HashCode, k_results: int) -> list[tuple[int
     if index.size == 0:
         return []
     dists = _query_distances(index, _query_words(index, query))
-    order = np.lexsort((index.ids, dists))[:k_results]
+    order = _smallest(dists, k_results, index.ids)
     return [(int(index.ids[i]), int(dists[i])) for i in order]
 
 
@@ -132,10 +150,11 @@ def ground_truth(data: FeatureMatrix, query_rows, mode: str, n_gt: int = 0) -> n
         if n_gt < 1:
             raise ConfigError(f"euclidean ground truth needs n_gt >= 1, got {n_gt}")
         relevant = np.zeros((query_rows.size, data.rows), dtype=bool)
+        rows = np.arange(data.rows)
         for qi, q in enumerate(query_rows):
             d = np.linalg.norm(data.values - data.values[q], axis=1)
             d[q] = np.inf  # self is never its own neighbor
-            relevant[qi, np.lexsort((np.arange(data.rows), d))[:n_gt]] = True
+            relevant[qi, _smallest(d, n_gt, rows)] = True
     relevant[np.arange(query_rows.size), query_rows] = False
     return relevant
 

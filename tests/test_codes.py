@@ -81,6 +81,25 @@ class TestMatrixPacking:
         expected = (a != b).sum(axis=1)
         assert np.array_equal(hamming_words(wa, wb), expected)
 
+    def test_hamming_words_full_width_past_255(self):
+        # 320 differing bits overflow any uint8 running sum.
+        bits = (np.random.default_rng(2).random((1, 320)) < 0.5).astype(np.uint8)
+        dist = hamming_words(pack_bits(bits), pack_bits(1 - bits))
+        assert dist.dtype == np.int64
+        assert dist.tolist() == [320]
+
+    def test_hamming_words_broadcast_matches_pair_loop(self):
+        # The N x N table built by broadcasting N x 1 x W against 1 x N x W.
+        rng = np.random.default_rng(3)
+        words = pack_bits((rng.random((9, 150)) < 0.5).astype(np.uint8))
+        table = hamming_words(words[:, None, :], words[None, :, :])
+        assert table.shape == (9, 9) and table.dtype == np.int64
+        for i in range(9):
+            for j in range(9):
+                assert table[i, j] == int(hamming_words(words[i], words[j]))
+                assert table[i, j] == sum(bin(int(x) ^ int(y)).count("1")
+                                          for x, y in zip(words[i], words[j]))
+
     def test_shape_validation(self):
         with pytest.raises(ShapeError):
             HashCode(8, np.zeros(2, dtype=np.uint64))

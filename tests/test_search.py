@@ -136,6 +136,13 @@ class TestTopk:
         with pytest.raises(DomainError):
             HammingIndex(full, 127, np.arange(2))
 
+    def test_bit_length_must_be_positive(self):
+        # words_per_code gives 0 words for these lengths, so the N x 0 word
+        # matrix fits them; no code without a bit may be indexed.
+        for n_bits in (0, -5):
+            with pytest.raises(ShapeError):
+                HammingIndex(np.zeros((3, 0), dtype=np.uint64), n_bits, np.arange(3))
+
     def test_k_must_be_positive(self):
         gen = np.random.default_rng(5)
         index, _ = random_index(gen, 5, 8)
@@ -178,6 +185,33 @@ class TestRadiusSearch:
             radius_search(index, code_of(np.zeros(8, dtype=np.uint8)), 9)
 
 
+class TestTieHeavySearch:
+    """topk and radius_search against the naive oracles where most codes
+    repeat a few distinct ones, so long runs of equal distances straddle
+    every cut; widths past 255 bits would overflow a uint8 accumulator."""
+
+    @given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=300),
+           st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_naive_oracles(self, n, n_bits, distinct, seed):
+        gen = np.random.default_rng(seed)
+        base = (gen.random((distinct, n_bits)) < 0.5).astype(np.uint8)
+        bits = base[gen.integers(0, distinct, size=n)]
+        ids = gen.permutation(n * 5)[:n]
+        index = HammingIndex(pack_bits(bits), n_bits, ids)
+        # A copy of a code, its complement (distance n_bits to every copy)
+        # or a random code.
+        qbits = [base[0], 1 - base[0],
+                 (gen.random(n_bits) < 0.5).astype(np.uint8)][int(gen.integers(0, 3))]
+        query = code_of(qbits)
+        codes_bits, qlist = [b.tolist() for b in bits], qbits.tolist()
+        for k in {1, int(gen.integers(1, n + 4)), n, n + 3}:
+            assert topk(index, query, k) == topk_direct(codes_bits, ids, qlist, k)
+        for radius in {0, int(gen.integers(0, n_bits + 1)), n_bits}:
+            assert radius_search(index, query, radius) == radius_direct(
+                codes_bits, ids, qlist, radius)
+
+
 def positions(*rows, n):
     """A bool relevance matrix with the given positions set in each row."""
     relevant = np.zeros((len(rows), n), dtype=bool)
@@ -216,6 +250,24 @@ class TestGroundTruth:
         data = FeatureMatrix(np.arange(4.0).reshape(4, 1))
         truth = ground_truth(data, [2, 0], "euclidean", n_gt=4)
         assert np.array_equal(truth, positions({0, 1, 3}, {1, 2, 3}, n=4))
+
+    @given(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=3),
+           st.integers(min_value=1, max_value=33), st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_euclidean_matches_full_lexsort(self, rows, dim, n_gt, seed):
+        # Small integer grid points: rows repeat exactly and distances tie,
+        # so the gt_n boundary often cuts through a run of equal distances.
+        gen = np.random.default_rng(seed)
+        data = FeatureMatrix(gen.integers(0, 3, size=(rows, dim)).astype(np.float64))
+        query_rows = gen.integers(0, rows, size=int(gen.integers(1, 6)))
+        expected = np.zeros((query_rows.size, rows), dtype=bool)
+        for qi, q in enumerate(query_rows):
+            d = np.linalg.norm(data.values - data.values[q], axis=1)
+            d[q] = np.inf
+            expected[qi, np.lexsort((np.arange(rows), d))[:n_gt]] = True
+            expected[qi, q] = False
+        truth = ground_truth(data, query_rows, "euclidean", n_gt)
+        assert np.array_equal(truth, expected)
 
     def test_label_mode_needs_labels(self):
         data = FeatureMatrix(np.ones((3, 2)))
