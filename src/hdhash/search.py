@@ -8,6 +8,14 @@ sort: a partition finds the k-th smallest distance, and only the candidates
 at or below it are ordered, by (distance, id), so a run of ties at the cut
 still goes to the lowest ids.
 
+Euclidean ground truth filters before it selects. For a block of queries one
+matmul tile gives squared distances in Gram form, ||x||^2 + ||y||^2 - 2x.y,
+and a partition of each tile row finds its cut. Every row within a proven
+rounding bound of the cut is a candidate, and only the candidates get the
+exact distance, np.linalg.norm of the row difference, from which the
+selection above picks. So the result is the one a full row of exact
+distances gives; a query with an overflowed Gram entry takes that full row.
+
 Precision-recall curves sweep the Hamming radius 0..k over a Q x N bool
 relevance matrix on index positions (precision_recall builds it from id
 sets). At each radius a query's precision is relevant-retrieved / retrieved,
@@ -37,6 +45,11 @@ from .features import FeatureMatrix, atomic_write
 CODES_MAGIC = b"HDHC"
 
 GROUND_TRUTH_MODES = ("label", "euclidean")
+
+# Squared distances per Gram tile of Euclidean ground truth: a block of
+# queries against every row. It bounds the tile's temporaries, and so the
+# peak memory of evaluation.
+_GRAM_TILE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -132,8 +145,11 @@ def ground_truth(data: FeatureMatrix, query_rows, mode: str, n_gt: int = 0) -> n
     """Q x rows bool relevance matrix for query rows of the dataset.
 
     "label" marks every same-class row relevant; "euclidean" marks the n_gt
-    nearest rows in the original feature space (ties by row id). A query's
-    own row is never relevant to it.
+    nearest rows in the original feature space (ties by row id). Euclidean
+    neighbours are found by a blocked Gram-form filter and an exact re-check
+    of its candidates (see the module docstring); they equal a selection
+    over each query's full row of np.linalg.norm distances. A query's own
+    row is never relevant to it.
     """
     if mode not in GROUND_TRUTH_MODES:
         raise ConfigError(f"unknown ground-truth mode {mode!r}")
@@ -149,13 +165,72 @@ def ground_truth(data: FeatureMatrix, query_rows, mode: str, n_gt: int = 0) -> n
     else:
         if n_gt < 1:
             raise ConfigError(f"euclidean ground truth needs n_gt >= 1, got {n_gt}")
-        relevant = np.zeros((query_rows.size, data.rows), dtype=bool)
-        rows = np.arange(data.rows)
-        for qi, q in enumerate(query_rows):
-            d = np.linalg.norm(data.values - data.values[q], axis=1)
-            d[q] = np.inf  # self is never its own neighbor
-            relevant[qi, _smallest(d, n_gt, rows)] = True
+        relevant = _euclidean_relevance(data.values, query_rows, n_gt)
     relevant[np.arange(query_rows.size), query_rows] = False
+    return relevant
+
+
+def _euclidean_relevance(values: np.ndarray, query_rows: np.ndarray, n_gt: int) -> np.ndarray:
+    """The n_gt nearest other rows of each query row, ties by row id.
+
+    A Gram tile of squared distances per block of queries finds a cut and a
+    few candidates; only those get the exact distance, which picks the
+    winners exactly as a full row of exact distances would.
+    """
+    n, dim = values.shape
+    relevant = np.zeros((query_rows.size, n), dtype=bool)
+    k = min(n_gt, n)
+    # Why the filter never drops a winner. Let u be the unit roundoff,
+    # rel = 4(dim + 4)u and D = ||x - y||^2 in exact arithmetic.
+    # - Gram: ||x||^2, ||y||^2 and x.y are sums of dim products, so in any
+    #   summation order (any classical BLAS kernel, blocking or thread
+    #   count, with or without FMA) each is off by at most dim*u/(1 - dim*u)
+    #   times the absolute sum of its terms, a sum that is at most
+    #   (||x||^2 + ||y||^2)/2 for x.y. The two additions that join them
+    #   round once each. So a tile entry G is within e = rel*(sq_x + max sq)
+    #   of D, with room to spare.
+    # - Exact: the norm row rounds each difference, each square and the
+    #   sqrt once and sums dim squares, so its distance E has E^2 = D(1 + t)
+    #   with |t| <= rel.
+    # - Underflow: a product below the normal range adds at most half the
+    #   smallest subnormal to either form; additions there are exact. The
+    #   floor, 16(dim + 1) subnormals, is several times both forms' sum.
+    # Let c be a query's k-th smallest G. The k rows with G <= c have
+    # D <= c + e; a row with G > c + m has D > c + m - e. Once
+    # m(1 - rel) >= 2e + 2rel|c| + 2floor, such a row's E is strictly above
+    # those k rows' E, so it can neither win nor tie its way in by id. The
+    # m below is about twice that, which also absorbs the rounding of m and
+    # of c + m. The proof needs every value finite: overflow makes a norm
+    # inf and a difference of infs NaN. A query whose tile row, reach or
+    # candidate distances are not all finite takes the full row of exact
+    # distances instead.
+    rel = 2 * (dim + 4) * np.finfo(np.float64).eps
+    floor = 16 * (dim + 1) * np.finfo(np.float64).smallest_subnormal
+    sq = np.einsum("ij,ij->i", values, values)
+    sq_max = sq.max()
+    block = max(1, _GRAM_TILE // n)
+    for start in range(0, query_rows.size, block):
+        queries = query_rows[start:start + block]
+        # Overflow here is expected; it sends the query to the full row.
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = values[queries] @ values.T
+            gram *= -2.0
+            gram += sq
+            gram += sq[queries, None]
+            finite = np.isfinite(gram).all(axis=1)
+            gram[np.arange(queries.size), queries] = np.inf  # self is never its own neighbor
+            cut = np.partition(gram, k - 1, axis=1)[:, k - 1].copy()  # frees the partition
+            reach = cut + 4 * (rel * (sq[queries] + sq_max + np.abs(cut)) + floor)
+        for qi, q in enumerate(queries):
+            if finite[qi] and np.isfinite(reach[qi]):
+                cand = np.flatnonzero(gram[qi] <= reach[qi])
+                d = np.linalg.norm(values[cand] - values[q], axis=1)
+                if np.isfinite(d).all():
+                    relevant[start + qi, cand[_smallest(d, n_gt, cand)]] = True
+                    continue
+            d = np.linalg.norm(values - values[q], axis=1)
+            d[q] = np.inf
+            relevant[start + qi, _smallest(d, n_gt, np.arange(n))] = True
     return relevant
 
 
@@ -299,8 +374,10 @@ def read_codes_file(path) -> tuple[np.ndarray, int]:
     if len(blob) > need:
         raise FormatError(f"{path}: {len(blob) - need} trailing bytes after "
                           f"the last of {count} codes")
+    # A read-only view of the file's bytes: no copy on a little-endian host.
     words = np.frombuffer(blob, dtype="<u8", count=count * n_words, offset=12)
-    words = words.reshape(count, n_words).astype(np.uint64)
+    words = words.reshape(count, n_words).astype(np.uint64, copy=False)
+    words.flags.writeable = False
     if pad_bits_set(words, n_bits):
         raise FormatError(f"{path}: a code has set pad bits beyond bit {n_bits}")
     return words, n_bits

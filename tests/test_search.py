@@ -1,6 +1,9 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hdhash.codes import HashCode, hamming_words, pack_bits
@@ -12,6 +15,7 @@ from hdhash.errors import (
     ShapeError,
     TruncationError,
 )
+from hdhash import search
 from hdhash.features import FeatureMatrix
 from hdhash.search import (
     HammingIndex,
@@ -39,6 +43,11 @@ def random_index(gen, n, k, labels=None):
     bits = (gen.random((n, k)) < 0.5).astype(np.uint8)
     index = HammingIndex(pack_bits(bits), k, np.arange(n), labels)
     return index, bits
+
+
+# Row scales where the Gram form overflows (1e160), loses bits among the
+# subnormals (around 1e-160) or is plain (1, 1e150).
+EXTREME_SCALES = [3e-161, 1e-160, 1e-159, 1.0, 1e150, 1e160]
 
 
 def distance(a: HashCode, b: HashCode) -> int:
@@ -269,6 +278,60 @@ class TestGroundTruth:
         truth = ground_truth(data, query_rows, "euclidean", n_gt)
         assert np.array_equal(truth, expected)
 
+    @given(st.integers(min_value=1, max_value=24), st.integers(min_value=1, max_value=6),
+           st.sampled_from(["scaled", "mixed", "offset"]),
+           st.sampled_from(EXTREME_SCALES), st.booleans(),
+           st.integers(min_value=1, max_value=26), st.sampled_from([1, 40, 1 << 16]),
+           st.integers(min_value=0, max_value=2**32))
+    @example(rows=1, dim=1, kind="scaled", scale=1.0, duplicates=False, n_gt=1,
+             tile=1 << 16, seed=0)
+    @example(rows=200, dim=8, kind="scaled", scale=1e160, duplicates=False, n_gt=5,
+             tile=1 << 16, seed=1)
+    @example(rows=30, dim=3, kind="offset", scale=1.0, duplicates=True, n_gt=29,
+             tile=40, seed=2)
+    @settings(max_examples=200, deadline=None)
+    def test_euclidean_extreme_magnitudes_match_full_lexsort(self, rows, dim, kind, scale,
+                                                             duplicates, n_gt, tile, seed):
+        # Squared norms overflow at 1e160 and land among the subnormals near
+        # 1e-160, and a large offset makes the Gram form cancel; the result
+        # must still be the full row of exact distances cut by one lexsort.
+        # The tile sizes put one query or a few in each block.
+        gen = np.random.default_rng(seed)
+        noise = gen.normal(size=(rows, dim))
+        if kind == "scaled":
+            values = scale * noise
+        elif kind == "mixed":
+            values = gen.choice(EXTREME_SCALES, size=(rows, 1)) * noise
+        else:
+            values = 1e6 + 1e-3 * noise
+        if duplicates:
+            values[gen.integers(0, rows, rows // 3)] = values[gen.integers(0, rows, rows // 3)]
+        query_rows = np.concatenate([np.arange(rows), gen.integers(0, rows, 3)])
+        expected = np.zeros((query_rows.size, rows), dtype=bool)
+        for qi, q in enumerate(query_rows):
+            d = np.linalg.norm(values - values[q], axis=1)
+            d[q] = np.inf
+            expected[qi, np.lexsort((np.arange(rows), d))[:n_gt]] = True
+            expected[qi, q] = False
+        with mock.patch.object(search, "_GRAM_TILE", tile):
+            truth = ground_truth(FeatureMatrix(values), query_rows, "euclidean", n_gt)
+        assert np.array_equal(truth, expected)
+
+    def test_euclidean_tile_memory_bounded(self):
+        # numpy reports its buffers to tracemalloc. The Gram tile holds 2**16
+        # float64 distances; beside the relevance matrix, a block needs
+        # about two tiles (the tile and its partitioned copy), so a larger
+        # tile shows here before it moves the benchmark's peak RSS.
+        gen = np.random.default_rng(23)
+        data = FeatureMatrix(gen.normal(size=(4000, 32)))
+        tracemalloc.start()
+        try:
+            truth = ground_truth(data, np.arange(0, 4000, 5), "euclidean", n_gt=20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < truth.nbytes + 3 * 8 * 2**16
+
     def test_label_mode_needs_labels(self):
         data = FeatureMatrix(np.ones((3, 2)))
         with pytest.raises(ConfigError):
@@ -422,6 +485,7 @@ class TestCodesIo:
         loaded, k = read_codes_file(path)
         assert k == 70
         assert np.array_equal(loaded, words)
+        assert loaded.dtype == np.uint64 and not loaded.flags.writeable
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "c.hdhc"
