@@ -219,7 +219,7 @@ def _euclidean_relevance(values: np.ndarray, query_rows: np.ndarray, n_gt: int) 
             gram += sq[queries, None]
             finite = np.isfinite(gram).all(axis=1)
             gram[np.arange(queries.size), queries] = np.inf  # self is never its own neighbor
-            cut = np.partition(gram, k - 1, axis=1)[:, k - 1].copy()  # frees the partition
+            cut = np.partition(gram, k - 1, axis=1)[:, k - 1].copy()  # no view: frees it
             reach = cut + 4 * (rel * (sq[queries] + sq_max + np.abs(cut)) + floor)
         for qi, q in enumerate(queries):
             if finite[qi] and np.isfinite(reach[qi]):
@@ -358,25 +358,30 @@ def write_codes_file(path, words: np.ndarray, n_bits: int) -> None:
 
 
 def read_codes_file(path) -> tuple[np.ndarray, int]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 12:
+    # Unbuffered, so the body comes from one read into a buffer of its own,
+    # which starts 8-byte aligned; no leftover read-ahead must be joined.
+    with open(path, "rb", buffering=0) as fh:
+        header = fh.read(12)
+        body = fh.read()
+    if len(header) < 12:
         raise TruncationError(f"{path}: shorter than the codes header")
-    if blob[:4] != CODES_MAGIC:
-        raise FormatError(f"{path}: bad magic {blob[:4]!r}, expected {CODES_MAGIC!r}")
-    count, n_bits = struct.unpack_from("<II", blob, 4)
+    if header[:4] != CODES_MAGIC:
+        raise FormatError(f"{path}: bad magic {header[:4]!r}, expected {CODES_MAGIC!r}")
+    count, n_bits = struct.unpack_from("<II", header, 4)
     if n_bits < 1:
         raise FormatError(f"{path}: bit length must be >= 1")
     n_words = words_per_code(n_bits)
-    need = 12 + 8 * count * n_words
-    if len(blob) < need:
-        raise TruncationError(f"{path}: expected {need} bytes, got {len(blob)}")
-    if len(blob) > need:
-        raise FormatError(f"{path}: {len(blob) - need} trailing bytes after "
+    need = 8 * count * n_words
+    if len(body) < need:
+        raise TruncationError(f"{path}: expected {12 + need} bytes, got {12 + len(body)}")
+    if len(body) > need:
+        raise FormatError(f"{path}: {len(body) - need} trailing bytes after "
                           f"the last of {count} codes")
-    # A read-only view of the file's bytes: no copy on a little-endian host.
-    words = np.frombuffer(blob, dtype="<u8", count=count * n_words, offset=12)
-    words = words.reshape(count, n_words).astype(np.uint64, copy=False)
+    # A read-only view of the words, not a copy. A view at offset 12 of the
+    # whole file would be unaligned, and every scan of unaligned words is
+    # slower; np.require copies only on a big-endian or unaligned buffer.
+    words = np.frombuffer(body, dtype="<u8", count=count * n_words)
+    words = np.require(words.reshape(count, n_words), np.uint64, "A")
     words.flags.writeable = False
     if pad_bits_set(words, n_bits):
         raise FormatError(f"{path}: a code has set pad bits beyond bit {n_bits}")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hdhash import search
 from hdhash.codes import HashCode, hamming_words, pack_bits
 from hdhash.errors import (
     ConfigError,
@@ -15,7 +16,6 @@ from hdhash.errors import (
     ShapeError,
     TruncationError,
 )
-from hdhash import search
 from hdhash.features import FeatureMatrix
 from hdhash.search import (
     HammingIndex,
@@ -290,6 +290,7 @@ class TestGroundTruth:
     @example(rows=30, dim=3, kind="offset", scale=1.0, duplicates=True, n_gt=29,
              tile=40, seed=2)
     @settings(max_examples=200, deadline=None)
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_euclidean_extreme_magnitudes_match_full_lexsort(self, rows, dim, kind, scale,
                                                              duplicates, n_gt, tile, seed):
         # Squared norms overflow at 1e160 and land among the subnormals near
@@ -485,7 +486,9 @@ class TestCodesIo:
         loaded, k = read_codes_file(path)
         assert k == 70
         assert np.array_equal(loaded, words)
-        assert loaded.dtype == np.uint64 and not loaded.flags.writeable
+        # A read-only view of the file's words, aligned for fast scans.
+        assert loaded.dtype == np.uint64 and loaded.flags.aligned
+        assert not loaded.flags.writeable
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "c.hdhc"
