@@ -22,14 +22,7 @@ from .errors import (
     TruncationError,
     VersionError,
 )
-from .features import (
-    EpochPlan,
-    FeatureMatrix,
-    NormStats,
-    load_features,
-    normalize,
-    plan_epochs,
-)
+from .features import FeatureMatrix, NormStats, load_features, normalize
 from .pipeline import (
     Model,
     TrainingConfig,

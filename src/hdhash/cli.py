@@ -56,6 +56,9 @@ def _guard(fn) -> CommandOutcome:
         return _fail(EXIT_DIVERGED, str(exc))
     except HdhError as exc:
         return _fail(EXIT_DATA, str(exc))
+    except OSError as exc:
+        # Writes report through _writing, so this is an unreadable input.
+        return _fail(EXIT_DATA, f"cannot read input file: {exc}")
 
 
 @contextmanager
@@ -69,24 +72,13 @@ def _writing(path):
                         f"{exc.strerror or exc}") from None
 
 
-def _load_features_auto(path, label_col):
-    """Pick the feature format from the file's leading magic bytes."""
-    try:
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
-    except OSError as exc:
-        raise DataError(f"cannot read features file: {exc}") from None
-    fmt = "packed-binary" if magic == b"HDH1" else "csv"
-    return load_features(path, fmt, label_col)
-
-
 def cmd_train(config_path, features_path, model_out, label_col=None) -> CommandOutcome:
     def run():
         try:
             config = pipeline.parse_config_file(config_path)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
-        data = normalize(_load_features_auto(features_path, label_col))
+        data = normalize(load_features(features_path, label_col))
         model, history = pipeline.train(config, data)
         with _writing(model_out):
             pipeline.save_model(model, model_out)
@@ -105,11 +97,8 @@ def cmd_train(config_path, features_path, model_out, label_col=None) -> CommandO
 
 def cmd_encode(model_path, features_path, codes_out, label_col=None) -> CommandOutcome:
     def run():
-        try:
-            model = pipeline.load_model(model_path)
-        except OSError as exc:
-            raise DataError(f"cannot read model file: {exc}") from None
-        data = _load_features_auto(features_path, label_col)
+        model = pipeline.load_model(model_path)
+        data = load_features(features_path, label_col)
         if data.dim != model.input_dim:
             raise DataError(
                 f"feature dimension mismatch: model expects {model.input_dim}, "
@@ -126,10 +115,7 @@ def cmd_encode(model_path, features_path, codes_out, label_col=None) -> CommandO
 
 def cmd_query(codes_path, query_hex, k_results) -> CommandOutcome:
     def run():
-        try:
-            words, n_bits = search.read_codes_file(codes_path)
-        except OSError as exc:
-            raise DataError(f"cannot read codes file: {exc}") from None
+        words, n_bits = search.read_codes_file(codes_path)
         try:
             query = HashCode.from_hex(query_hex, n_bits)
         except DomainError as exc:
@@ -146,11 +132,8 @@ def cmd_query(codes_path, query_hex, k_results) -> CommandOutcome:
 def cmd_eval_pr(codes_path, features_path, mode, gt_n, out_csv,
                 label_col=None) -> CommandOutcome:
     def run():
-        try:
-            words, n_bits = search.read_codes_file(codes_path)
-        except OSError as exc:
-            raise DataError(f"cannot read codes file: {exc}") from None
-        data = _load_features_auto(features_path, label_col)
+        words, n_bits = search.read_codes_file(codes_path)
+        data = load_features(features_path, label_col)
         if words.shape[0] != data.rows:
             raise DataError(
                 f"codes/features mismatch: {words.shape[0]} codes for "

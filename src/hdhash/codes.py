@@ -7,6 +7,7 @@ gives exact Hamming distances.
 """
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,6 +15,7 @@ import numpy as np
 from .errors import DomainError, ShapeError
 
 WORD_BITS = 64
+_HEX_DIGITS = frozenset(string.hexdigits)
 
 
 def words_per_code(n_bits: int) -> int:
@@ -81,10 +83,10 @@ class HashCode:
                 f"hex code for {n_bits} bits must have {16 * n_words} digits, "
                 f"got {len(text)}"
             )
-        try:
-            vals = [int(text[16 * i: 16 * (i + 1)], 16) for i in range(n_words)]
-        except ValueError as exc:
-            raise DomainError(f"malformed hex code: {text!r}") from exc
+        # int(.., 16) alone would also take "0x", signs, spaces and non-ASCII digits.
+        if not set(text) <= _HEX_DIGITS:
+            raise DomainError(f"malformed hex code: {text!r}")
+        vals = [int(text[16 * i: 16 * (i + 1)], 16) for i in range(n_words)]
         words = np.array(vals[::-1], dtype=np.uint64)
         return cls(n_bits, words)
 

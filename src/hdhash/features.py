@@ -1,12 +1,14 @@
-"""Feature dataset loading, normalization, and epoch planning.
+"""Feature dataset loading and normalization.
 
-Two on-disk formats are supported:
+load_features reads two on-disk formats and tells them apart by the file's
+first bytes:
 
-* CSV: one sample per line, comma-separated decimal floats, optionally a
-  final integer label column (declare with label_col="last").
 * Packed binary: magic b"HDH1", u32-LE row count, u32-LE dim, u8 has_labels,
   then rows*dim little-endian float32 values row-major, then (if has_labels)
   rows little-endian int32 labels.
+* CSV (any file that does not start with the magic): one sample per line,
+  comma-separated decimal floats, optionally a final integer label column
+  (declare with label_col="last").
 
 All values are converted to float64 in memory. Normalization maps every
 dimension into [-1, 1] (the encoder stack reconstructs through tanh, so
@@ -15,6 +17,7 @@ per-dimension shift/scale so queries are transformed identically.
 """
 from __future__ import annotations
 
+import io
 import os
 import secrets
 import struct
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, FormatError, ParseError, ShapeError
+from .errors import ConfigError, FormatError, ParseError, ShapeError
 
 PACKED_MAGIC = b"HDH1"
 
@@ -99,17 +102,21 @@ class FeatureMatrix:
         return self.values.shape[1]
 
 
-def load_features(path, format: str = "csv", label_col: str | None = None) -> FeatureMatrix:
-    """Load a feature file. format is "csv" or "packed-binary".
+def load_features(path, label_col: str | None = None) -> FeatureMatrix:
+    """Load a feature file: packed binary if it starts with PACKED_MAGIC,
+    CSV otherwise.
 
     label_col="last" treats the final CSV column as an integer class label;
     the packed format carries its own has_labels flag.
     """
-    if format == "csv":
-        return _load_csv(path, label_col)
-    if format == "packed-binary":
-        return _load_packed(path)
-    raise ConfigError(f"unknown feature format {format!r}")
+    if label_col not in (None, "last"):
+        raise ConfigError(f"label_col must be None or 'last', got {label_col!r}")
+    with open(path, "rb") as fh:
+        packed = fh.read(len(PACKED_MAGIC)) == PACKED_MAGIC
+        fh.seek(0)
+        if packed:
+            return _load_packed(fh.read(), path)
+        return _load_csv(io.TextIOWrapper(fh, encoding="utf-8"), path, label_col)
 
 
 def _utf8_lines(fh, path):
@@ -119,54 +126,51 @@ def _utf8_lines(fh, path):
         raise FormatError(f"{path}: not UTF-8 text") from None
 
 
-def _load_csv(path, label_col):
-    if label_col not in (None, "last"):
-        raise ConfigError(f"label_col must be None or 'last', got {label_col!r}")
+def _load_csv(fh, path, label_col):
     rows = []
     labels = [] if label_col == "last" else None
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(_utf8_lines(fh, path), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if width is None:
-                width = len(cells)
-                if label_col == "last" and width < 2:
-                    raise FormatError(
-                        f"{path}: need at least 2 columns with a label column"
-                    )
-            elif len(cells) != width:
+    for lineno, line in enumerate(_utf8_lines(fh, path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        if width is None:
+            width = len(cells)
+            if label_col == "last" and width < 2:
                 raise FormatError(
-                    f"{path}: row {lineno} has {len(cells)} columns, expected {width}"
+                    f"{path}: need at least 2 columns with a label column"
                 )
-            if labels is not None:
-                feat_cells, label_cell = cells[:-1], cells[-1]
-            else:
-                feat_cells, label_cell = cells, None
-            row = []
-            for colno, cell in enumerate(feat_cells, start=1):
-                try:
-                    row.append(float(cell))
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: cannot parse {cell.strip()!r} at row {lineno}, "
-                        f"column {colno}",
-                        row=lineno,
-                        col=colno,
-                    ) from None
-            if label_cell is not None:
-                try:
-                    labels.append(np.int64(int(label_cell)))
-                except (ValueError, OverflowError):
-                    raise ParseError(
-                        f"{path}: cannot parse label {label_cell.strip()!r} at row "
-                        f"{lineno}, column {width}",
-                        row=lineno,
-                        col=width,
-                    ) from None
-            rows.append(row)
+        elif len(cells) != width:
+            raise FormatError(
+                f"{path}: row {lineno} has {len(cells)} columns, expected {width}"
+            )
+        if labels is not None:
+            feat_cells, label_cell = cells[:-1], cells[-1]
+        else:
+            feat_cells, label_cell = cells, None
+        row = []
+        for colno, cell in enumerate(feat_cells, start=1):
+            try:
+                row.append(float(cell))
+            except ValueError:
+                raise ParseError(
+                    f"{path}: cannot parse {cell.strip()!r} at row {lineno}, "
+                    f"column {colno}",
+                    row=lineno,
+                    col=colno,
+                ) from None
+        if label_cell is not None:
+            try:
+                labels.append(np.int64(int(label_cell)))
+            except (ValueError, OverflowError):
+                raise ParseError(
+                    f"{path}: cannot parse label {label_cell.strip()!r} at row "
+                    f"{lineno}, column {width}",
+                    row=lineno,
+                    col=width,
+                ) from None
+        rows.append(row)
     if not rows:
         raise FormatError(f"{path}: no data rows")
     values = np.array(rows, dtype=np.float64)
@@ -174,13 +178,9 @@ def _load_csv(path, label_col):
     return FeatureMatrix(values, labs)
 
 
-def _load_packed(path):
-    with open(path, "rb") as fh:
-        blob = fh.read()
+def _load_packed(blob, path):
     if len(blob) < 13:
         raise FormatError(f"{path}: too short for a packed feature file")
-    if blob[:4] != PACKED_MAGIC:
-        raise FormatError(f"{path}: bad magic {blob[:4]!r}, expected {PACKED_MAGIC!r}")
     n, d = struct.unpack_from("<II", blob, 4)
     has_labels = blob[12]
     if has_labels not in (0, 1):
@@ -241,54 +241,11 @@ def normalize(m: FeatureMatrix) -> FeatureMatrix:
     vals = m.values
     lo = vals.min(axis=0)
     hi = vals.max(axis=0)
-    shift = (lo + hi) / 2.0
-    half = (hi - lo) / 2.0
+    # Halving first keeps both finite for any finite lo and hi.
+    shift = lo / 2.0 + hi / 2.0
+    half = hi / 2.0 - lo / 2.0
     scale = np.where(half > 0, 1.0 / np.where(half > 0, half, 1.0), 0.0)
     stats = NormStats("minmax_symmetric", shift, scale)
     # (raw - shift) * scale can round a column's extreme a few ulp past 1,
     # and train accepts only values in [-1, 1].
     return FeatureMatrix(np.clip(stats.apply(vals), -1.0, 1.0), m.labels, stats)
-
-
-@dataclass(frozen=True)
-class EpochPlan:
-    """A seeded partition of row indices into fixed-size training batches.
-
-    order is a permutation of all row indices; the first
-    epoch_count * batch_size entries form the batches, leftover rows are
-    dropped for this plan.
-    """
-
-    epoch_count: int
-    batch_size: int
-    order: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        order = np.asarray(self.order, dtype=np.int64)
-        order.flags.writeable = False
-        object.__setattr__(self, "order", order)
-
-    def batch_indices(self, m: int) -> np.ndarray:
-        if not 0 <= m < self.epoch_count:
-            raise ShapeError(f"batch index {m} out of range 0..{self.epoch_count - 1}")
-        start = m * self.batch_size
-        return self.order[start: start + self.batch_size]
-
-    def batches(self):
-        for m in range(self.epoch_count):
-            yield self.batch_indices(m)
-
-
-def plan_epochs(m: FeatureMatrix, epoch_count: int, batch_size: int, seed: int) -> EpochPlan:
-    """Plan epoch_count disjoint batches of batch_size rows each."""
-    if epoch_count < 1 or batch_size < 1:
-        raise ConfigError("epoch_count and batch_size must be >= 1")
-    need = epoch_count * batch_size
-    if need > m.rows:
-        raise CapacityError(
-            f"plan needs {epoch_count} x {batch_size} = {need} rows, "
-            f"matrix has {m.rows}"
-        )
-    order = np.random.default_rng(seed).permutation(m.rows)
-    return EpochPlan(epoch_count, batch_size, order, seed)

@@ -1,11 +1,11 @@
 """End-to-end training loop, feature-to-code encoding, and model persistence.
 
-Training alternates two stages over seeded epoch batches, outer_iters times:
+Training alternates two stages over seeded batches, outer_iters times:
 (a) every autoencoder layer takes one gradient step per batch, feeding the
 next layer its freshly updated outputs, then (b) the RBM head takes one CD
 step on the thresholded top-layer outputs. After each outer iteration except
 the first and last, a stage whose summed objective moved by more than its
-tolerance since the previous iteration is re-run on the same epoch plan, at
+tolerance since the previous iteration is re-run on the same batches, at
 most max_repeats_per_iter times.
 
 The tracked objectives are sums over the iteration's batches: R for the
@@ -37,7 +37,7 @@ from .errors import (
     TruncationError,
     VersionError,
 )
-from .features import FeatureMatrix, NormStats, atomic_write, plan_epochs
+from .features import FeatureMatrix, NormStats, atomic_write
 from .rbm import Rbm
 from .sae import DECORRELATION_MODES, SaeLayer, SaeStack
 
@@ -83,6 +83,9 @@ class TrainingConfig:
             raise ConfigError("epochs and batch_size must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name in ("lam", "mu", "beta", "alpha"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lam < 0 or self.mu < 0:
             raise ConfigError("penalty weights lam/mu must be >= 0")
         if self.beta < 1:
@@ -95,7 +98,7 @@ class TrainingConfig:
             raise ConfigError(f"outer_iters must be >= 1, got {self.outer_iters}")
         for name in ("eps_sae", "eps_rbm"):
             val = getattr(self, name)
-            if val is not None and val < 0:
+            if val is not None and not val >= 0:  # inf is allowed, NaN is not
                 raise ConfigError(f"{name} must be >= 0 or auto")
         if self.decorrelation_mode not in DECORRELATION_MODES:
             raise ConfigError(f"unknown decorrelation_mode {self.decorrelation_mode!r}")
@@ -105,30 +108,39 @@ class TrainingConfig:
             raise ConfigError("max_repeats_per_iter must be >= 0")
 
 
-# Config-file key -> constructor attribute. File keys are the public contract.
-_CONFIG_KEYS = (
-    ("lambda", "lam"),
-    ("mu", "mu"),
-    ("beta", "beta"),
-    ("alpha", "alpha"),
-    ("layer_dims", "layer_dims"),
-    ("code_bits", "code_bits"),
-    ("outer_iters", "outer_iters"),
-    ("eps_sae", "eps_sae"),
-    ("eps_rbm", "eps_rbm"),
-    ("epochs", "epochs"),
-    ("batch_size", "batch_size"),
-    ("cd_steps", "cd_steps"),
-    ("seed", "seed"),
-    ("decorrelation_mode", "decorrelation_mode"),
-    ("init_mode", "init_mode"),
-    ("max_repeats_per_iter", "max_repeats_per_iter"),
-)
+def _fmt(x: float) -> str:
+    return f"{float(x):.17g}"
 
-_INT_KEYS = {"code_bits", "outer_iters", "epochs", "batch_size", "cd_steps",
-             "seed", "max_repeats_per_iter"}
-_FLOAT_KEYS = {"lambda", "mu", "beta", "alpha"}
-_EPS_KEYS = {"eps_sae", "eps_rbm"}
+
+# Config value kinds, as (parser, printer) pairs.
+_FLOAT = (float, _fmt)
+_INT = (int, str)
+_STR = (str, str)
+_EPS = (lambda text: None if text == "auto" else float(text),
+        lambda val: "auto" if val is None else _fmt(val))
+_DIMS = (lambda text: tuple(int(p) for p in text.split(",") if p.strip()),
+         lambda dims: ",".join(str(d) for d in dims))
+
+# (config-file key, constructor attribute, parser, printer). File keys are
+# the public contract; a parser's ValueError is a bad value for its key.
+_CONFIG_KEYS = (
+    ("lambda", "lam", *_FLOAT),
+    ("mu", "mu", *_FLOAT),
+    ("beta", "beta", *_FLOAT),
+    ("alpha", "alpha", *_FLOAT),
+    ("layer_dims", "layer_dims", *_DIMS),
+    ("code_bits", "code_bits", *_INT),
+    ("outer_iters", "outer_iters", *_INT),
+    ("eps_sae", "eps_sae", *_EPS),
+    ("eps_rbm", "eps_rbm", *_EPS),
+    ("epochs", "epochs", *_INT),
+    ("batch_size", "batch_size", *_INT),
+    ("cd_steps", "cd_steps", *_INT),
+    ("seed", "seed", *_INT),
+    ("decorrelation_mode", "decorrelation_mode", *_STR),
+    ("init_mode", "init_mode", *_STR),
+    ("max_repeats_per_iter", "max_repeats_per_iter", *_INT),
+)
 
 
 def parse_config_text(text: str, where: str = "config") -> TrainingConfig:
@@ -146,26 +158,17 @@ def parse_config_text(text: str, where: str = "config") -> TrainingConfig:
             raise ConfigError(f"{where}: duplicate key {key!r}")
         raw[key] = value
 
-    known = {k for k, _ in _CONFIG_KEYS}
+    known = {key for key, *_ in _CONFIG_KEYS}
     for key in raw:
         if key not in known:
             raise ConfigError(f"{where}: unknown key {key!r}")
     kwargs = {}
-    for key, attr in _CONFIG_KEYS:
+    for key, attr, parse, _ in _CONFIG_KEYS:
         if key not in raw:
             raise ConfigError(f"{where}: missing config key {key!r}")
         value = raw[key]
         try:
-            if key in _INT_KEYS:
-                kwargs[attr] = int(value)
-            elif key in _FLOAT_KEYS:
-                kwargs[attr] = float(value)
-            elif key in _EPS_KEYS:
-                kwargs[attr] = None if value == "auto" else float(value)
-            elif key == "layer_dims":
-                kwargs[attr] = tuple(int(p) for p in value.split(",") if p.strip())
-            else:
-                kwargs[attr] = value
+            kwargs[attr] = parse(value)
         except ValueError:
             raise ConfigError(f"{where}: bad value for {key!r}: {value!r}") from None
     return TrainingConfig(**kwargs)
@@ -180,28 +183,13 @@ def parse_config_file(path) -> TrainingConfig:
     return parse_config_text(text, where=str(path))
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def _fmt_vec(arr: np.ndarray) -> str:
     return " ".join(_fmt(x) for x in np.asarray(arr, dtype=np.float64).ravel())
 
 
 def config_lines(config: TrainingConfig, prefix: str = "config.") -> list[str]:
-    out = []
-    for key, attr in _CONFIG_KEYS:
-        val = getattr(config, attr)
-        if key in _EPS_KEYS:
-            text = "auto" if val is None else _fmt(val)
-        elif key == "layer_dims":
-            text = ",".join(str(d) for d in val)
-        elif key in _FLOAT_KEYS:
-            text = _fmt(val)
-        else:
-            text = str(val)
-        out.append(f"{prefix}{key}={text}")
-    return out
+    return [f"{prefix}{key}={fmt(getattr(config, attr))}"
+            for key, attr, _, fmt in _CONFIG_KEYS]
 
 
 @dataclass(frozen=True)
@@ -222,6 +210,8 @@ class Model:
             raise ConfigError(
                 f"RBM hidden {self.rbm.h_dim} != code_bits {self.config.code_bits}"
             )
+        if (self.rbm.beta, self.rbm.cd_steps) != (self.config.beta, self.config.cd_steps):
+            raise ConfigError("RBM beta and cd_steps must be the config's")
 
     @property
     def code_bits(self) -> int:
@@ -245,14 +235,14 @@ def _derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(tuple(int(p) for p in parts)).generate_state(1)[0])
 
 
-def init_model(config: TrainingConfig, rng=None) -> Model:
+def init_model(config: TrainingConfig) -> Model:
     """Draw initial parameters.
 
     "paper" mode draws every parameter uniformly from [0, 1); "symmetric"
     draws from [-s, s] with s = sqrt(6 / (fan_in + fan_out)) per block,
     which keeps tanh units out of saturation and usually trains better.
     """
-    gen = np.random.default_rng(config.seed if rng is None else rng)
+    gen = np.random.default_rng(config.seed)
 
     def draw(shape, fan_in, fan_out):
         if config.init_mode == "paper":
@@ -320,8 +310,9 @@ def _rbm_batch_step(head, visible, config, t, chain_seed):
     return head, value
 
 
-def _pass(layers, head, data, plan, config, t, rep, sae=True, rbm=True):
-    """One pass over the plan's batches; returns the head and summed R and J.
+def _pass(layers, head, data, batches, config, t, rep, sae=True, rbm=True):
+    """One pass over the batches (rows of an index matrix); returns the
+    head and summed R and J.
 
     Per batch, sae takes one step on every layer and rbm one CD step on the
     thresholded top-layer outputs: with sae, the outputs under the freshly
@@ -329,7 +320,7 @@ def _pass(layers, head, data, plan, config, t, rep, sae=True, rbm=True):
     """
     r_total = 0.0
     j_total = 0.0
-    for m, idx in enumerate(plan.batches()):
+    for m, idx in enumerate(batches):
         x = data.values[idx]
         if sae:
             r_b, top = _sae_batch_step(layers, x, config, t)
@@ -364,9 +355,10 @@ def train(config: TrainingConfig, data: FeatureMatrix) -> tuple[Model, list[Iter
     eps_rbm = config.eps_rbm
     history: list[IterationRecord] = []
     for t in range(1, config.outer_iters + 1):
-        plan = plan_epochs(data, config.epochs, config.batch_size,
-                           _derive_seed(config.seed, t))
-        head, r_t, j_t = _pass(layers, head, data, plan, config, t, 0)
+        order = np.random.default_rng(_derive_seed(config.seed, t)).permutation(data.rows)
+        batches = order[:config.epochs * config.batch_size].reshape(
+            config.epochs, config.batch_size)
+        head, r_t, j_t = _pass(layers, head, data, batches, config, t, 0)
         if t == 1:
             if eps_sae is None:
                 eps_sae = 1e-3 * abs(r_t)
@@ -379,12 +371,12 @@ def train(config: TrainingConfig, data: FeatureMatrix) -> tuple[Model, list[Iter
             basis = history[-1].sae_objective
             while sae_reps < config.max_repeats_per_iter and abs(r_t - basis) > eps_sae:
                 basis = r_t
-                _, r_t, _ = _pass(layers, head, data, plan, config, t, 0, rbm=False)
+                _, r_t, _ = _pass(layers, head, data, batches, config, t, 0, rbm=False)
                 sae_reps += 1
             basis = history[-1].rbm_objective
             while rbm_reps < config.max_repeats_per_iter and abs(j_t - basis) > eps_rbm:
                 basis = j_t
-                head, _, j_t = _pass(layers, head, data, plan, config, t,
+                head, _, j_t = _pass(layers, head, data, batches, config, t,
                                      rbm_reps + 1, sae=False)
                 rbm_reps += 1
         history.append(IterationRecord(t, r_t, j_t, sae_reps, rbm_reps))
@@ -495,24 +487,22 @@ def _model_from_fields(fields: dict, where: str) -> Model:
         return _parse_vec(need(key), int(np.prod(shape)), key).reshape(shape)
 
     config = parse_config_text(
-        "\n".join(f"{k}={need('config.' + k)}" for k, _ in _CONFIG_KEYS), where=where)
+        "\n".join(f"{k}={need('config.' + k)}" for k, *_ in _CONFIG_KEYS), where=where)
     dims = config.layer_dims
     v_dim, h_dim = dims[-1], config.code_bits
-    # Every stored shape must be the one the config echo declares.
-    shapes = {"sae.layer_count": len(dims) - 1, "rbm.v_dim": v_dim, "rbm.h_dim": h_dim}
+    # Every stored shape and RBM setting must be the one the config echo
+    # declares, printed as save_model prints it.
+    echoed = {"sae.layer_count": len(dims) - 1, "rbm.v_dim": v_dim, "rbm.h_dim": h_dim,
+              "rbm.beta": _fmt(config.beta), "rbm.cd_steps": config.cd_steps}
     for i, (p, q) in enumerate(zip(dims, dims[1:])):
-        shapes[f"sae.{i}.in_dim"] = p
-        shapes[f"sae.{i}.out_dim"] = q
-    for key, value in shapes.items():
+        echoed[f"sae.{i}.in_dim"] = p
+        echoed[f"sae.{i}.out_dim"] = q
+    for key, value in echoed.items():
         if need(key) != str(value):
             raise FormatError(
                 f"{where}: model field {key}={need(key)!r} does not match "
-                f"config.layer_dims={','.join(map(str, dims))} code_bits={h_dim}"
+                f"the config echo, which gives {value}"
             )
-    try:
-        cd_steps = int(need("rbm.cd_steps"))
-    except ValueError:
-        raise FormatError(f"{where}: model field 'rbm.cd_steps' is not an integer") from None
 
     norm = NormStats(need("norm.mode"), vec("norm.shift", dims[0]),
                      vec("norm.scale", dims[0]))
@@ -522,6 +512,5 @@ def _model_from_fields(fields: dict, where: str) -> Model:
         for i, (p, q) in enumerate(zip(dims, dims[1:]))
     )
     head = Rbm(vec("rbm.w", h_dim, v_dim), vec("rbm.vis_bias", v_dim),
-               vec("rbm.hid_bias", h_dim), beta=float(vec("rbm.beta", 1)[0]),
-               cd_steps=cd_steps)
+               vec("rbm.hid_bias", h_dim), beta=config.beta, cd_steps=config.cd_steps)
     return Model(SaeStack(layers), head, norm, config)

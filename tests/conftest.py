@@ -32,6 +32,11 @@ def two_cluster_dataset(seed=1234, n_train=200, n_query=50, dim=32, offset=2.0):
     return train, query
 
 
+# Sixteen characters that int(.., 16) reads as 15 but are not sixteen hex digits.
+NOT_HEX = ["0x0000000000000f", "+00000000000000f", " 00000000000000f",
+           "00000000000000\u0661f"]
+
+
 def write_raw_codes(path, words, n_bits):
     """Write a codes file byte by byte, unchecked, as a foreign writer might."""
     words = np.asarray(words, dtype="<u8")

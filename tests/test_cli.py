@@ -21,7 +21,7 @@ from hdhash.features import FeatureMatrix, save_packed
 from hdhash.pipeline import TrainingConfig, config_lines
 from hdhash.search import read_codes_file, write_codes_file
 
-from conftest import write_raw_codes
+from conftest import NOT_HEX, write_raw_codes
 
 
 def write_config(path, **overrides):
@@ -93,6 +93,23 @@ class TestTrainCommand:
         assert outcome.exit_code == 3
         assert "sae" in outcome.message or "rbm" in outcome.message
 
+    @pytest.mark.parametrize("key, value", [
+        ("lambda", "nan"), ("mu", "inf"), ("beta", "inf"), ("alpha", "nan"),
+        ("alpha", "inf"), ("eps_sae", "nan"), ("eps_rbm", "nan"),
+    ])
+    def test_non_finite_value_exits_1(self, tmp_path, key, value):
+        config_path = tmp_path / "t.cfg"
+        write_config(config_path)
+        config_path.write_text("".join(
+            f"{key}={value}\n" if line.startswith(key + "=") else line + "\n"
+            for line in config_path.read_text().splitlines()))
+        features_path = tmp_path / "f.csv"
+        write_features_csv(features_path)
+        outcome = cmd_train(str(config_path), str(features_path),
+                            str(tmp_path / "m.hdhm"))
+        assert outcome.exit_code == 1
+        assert not (tmp_path / "m.hdhm").exists()
+
     def test_missing_config_file(self, tmp_path):
         features_path = tmp_path / "f.csv"
         write_features_csv(features_path)
@@ -154,8 +171,10 @@ class TestMalformedModel:
         (b"config.seed=1", b"config.seed=x"),               # bad config echo
         (b"config.layer_dims=4,3", b"config.layer_dims=4,5"),  # dims disagree
         (b"norm.mode=minmax_symmetric", b"norm.mode=zscore_clamped"),  # no such mode
+        (b"rbm.beta=10\n", b"rbm.beta=11\n"),          # beta disagrees with the echo
+        (b"rbm.cd_steps=1\n", b"rbm.cd_steps=2\n"),    # cd_steps disagrees
     ], ids=["bad-number", "not-utf8", "bad-config-echo", "dims-disagree",
-            "unknown-norm-mode"])
+            "unknown-norm-mode", "beta-disagrees", "cd-steps-disagree"])
     def test_encode_exits_2(self, trained, tmp_path, old, new):
         _, features_path, model_path = trained
         rewrite_payload(model_path, old, new)
@@ -182,6 +201,35 @@ class TestNotUtf8:
         outcome = cmd_train(str(bad), str(features_path), str(tmp_path / "m2.hdhm"))
         assert outcome.exit_code == 1
         assert "UTF-8" in outcome.message
+
+
+class TestUnreadableInput:
+    """A missing input file exits 2, naming that file."""
+
+    @pytest.mark.parametrize("command, missing", [
+        ("train", "--features"), ("encode", "--model"), ("encode", "--features"),
+        ("query", "--codes"), ("eval-pr", "--codes"), ("eval-pr", "--features"),
+    ])
+    def test_exits_2(self, trained, tmp_path, capsys, command, missing):
+        config_path, features_path, model_path = trained
+        codes_path = tmp_path / "c.hdhc"
+        assert cmd_encode(str(model_path), str(features_path),
+                          str(codes_path)).exit_code == 0
+        argv = {
+            "train": ["--config", config_path, "--features", features_path,
+                      "--out", tmp_path / "m2.hdhm"],
+            "encode": ["--model", model_path, "--features", features_path,
+                       "--out", tmp_path / "c2.hdhc"],
+            "query": ["--codes", codes_path, "--q", "0" * 16, "--k", "1"],
+            "eval-pr": ["--codes", codes_path, "--features", features_path,
+                        "--mode", "euclidean", "--gt-n", "2", "--out", tmp_path / "pr"],
+        }[command]
+        gone = tmp_path / "gone"
+        argv[argv.index(missing) + 1] = gone
+        assert main([command] + [str(a) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1] == "status=error exit=2"
+        assert str(gone) in captured.err
 
 
 class TestUnwritableOutput:
@@ -227,6 +275,13 @@ class TestQueryCommand:
         path, _ = self.make_codes(tmp_path)
         outcome = cmd_query(str(path), "nothex!", 3)
         assert outcome.exit_code == 1
+
+    @pytest.mark.parametrize("text", NOT_HEX)
+    def test_non_hex_digits_exit_1(self, tmp_path, text):
+        path, _ = self.make_codes(tmp_path)
+        outcome = cmd_query(str(path), text, 3)
+        assert outcome.exit_code == 1
+        assert not any(line.startswith("id=") for line in outcome.lines)
 
     def test_k_zero_exits_1(self, tmp_path):
         path, bits = self.make_codes(tmp_path)

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from hdhash.codes import HashCode, hamming_words, pack_bits, unpack_bits, words_per_code
 from hdhash.errors import DomainError, ShapeError
 
+from conftest import NOT_HEX
+
 
 class TestPacking:
     def test_bit_positions(self):
@@ -48,6 +50,7 @@ class TestHex:
         code = HashCode(100, words)
         assert code.to_hex() == f"{0xAB:016x}" + f"{0x1:016x}"
         assert HashCode.from_hex(code.to_hex(), 100) == code
+        assert HashCode.from_hex(code.to_hex().upper(), 100) == code
 
     def test_wrong_length(self):
         with pytest.raises(DomainError):
@@ -56,6 +59,11 @@ class TestHex:
     def test_malformed(self):
         with pytest.raises(DomainError):
             HashCode.from_hex("zz" * 8, 64)
+
+    @pytest.mark.parametrize("text", NOT_HEX)
+    def test_only_hex_digits(self, text):
+        with pytest.raises(DomainError):
+            HashCode.from_hex(text, 64)
 
     @given(st.integers(min_value=1, max_value=130), st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=50, deadline=None)

@@ -4,14 +4,13 @@ import os
 import numpy as np
 import pytest
 
-from hdhash.errors import CapacityError, FormatError, ParseError, ShapeError
+from hdhash.errors import DataError, FormatError, ParseError, ShapeError
 from hdhash.features import (
     FeatureMatrix,
     NormStats,
     atomic_write,
     load_features,
     normalize,
-    plan_epochs,
     save_packed,
 )
 from hdhash.pipeline import TrainingConfig, init_model, save_model
@@ -26,7 +25,7 @@ def write(path, text):
 class TestLoadCsv:
     def test_basic(self, tmp_path):
         p = write(tmp_path / "f.csv", "1,2,3,4\n5,6,7,8\n-1,0.5,2e-1,4\n")
-        m = load_features(p, "csv")
+        m = load_features(p)
         assert m.rows == 3 and m.dim == 4
         assert m.labels is None
         np.testing.assert_allclose(m.values[2], [-1, 0.5, 0.2, 4])
@@ -34,12 +33,12 @@ class TestLoadCsv:
     def test_empty_file(self, tmp_path):
         p = write(tmp_path / "f.csv", "")
         with pytest.raises(FormatError):
-            load_features(p, "csv")
+            load_features(p)
 
     def test_parse_error_position(self, tmp_path):
         p = write(tmp_path / "f.csv", "1,2,3\n4,abc,6\n")
         with pytest.raises(ParseError) as err:
-            load_features(p, "csv")
+            load_features(p)
         assert err.value.row == 2
         assert err.value.col == 2
         assert "abc" in str(err.value)
@@ -47,32 +46,32 @@ class TestLoadCsv:
     def test_ragged_rows(self, tmp_path):
         p = write(tmp_path / "f.csv", "1,2,3\n4,5\n")
         with pytest.raises(FormatError):
-            load_features(p, "csv")
+            load_features(p)
 
     def test_label_column(self, tmp_path):
         p = write(tmp_path / "f.csv", "1,2,0\n3,4,1\n")
-        m = load_features(p, "csv", label_col="last")
+        m = load_features(p, label_col="last")
         assert m.dim == 2
         assert np.array_equal(m.labels, [0, 1])
 
     def test_bad_label(self, tmp_path):
         p = write(tmp_path / "f.csv", "1,2,zero\n")
         with pytest.raises(ParseError) as err:
-            load_features(p, "csv", label_col="last")
+            load_features(p, label_col="last")
         assert err.value.col == 3
 
     def test_label_beyond_int64(self, tmp_path):
         p = write(tmp_path / "f.csv", "1,2,9223372036854775807\n3,4,99999999999999999999\n")
         with pytest.raises(ParseError) as err:
-            load_features(p, "csv", label_col="last")
+            load_features(p, label_col="last")
         assert (err.value.row, err.value.col) == (2, 3)
         p = write(tmp_path / "g.csv", "1,2,9223372036854775807\n")
-        assert load_features(p, "csv", label_col="last").labels[0] == 2**63 - 1
+        assert load_features(p, label_col="last").labels[0] == 2**63 - 1
 
     def test_non_finite_rejected(self, tmp_path):
         p = write(tmp_path / "f.csv", "1,nan\n")
         with pytest.raises(FormatError):
-            load_features(p, "csv")
+            load_features(p)
 
 
 class TestPackedBinary:
@@ -82,15 +81,31 @@ class TestPackedBinary:
                           np.array([0, 1, 0, 1, 2, 2]))
         p = tmp_path / "f.bin"
         save_packed(m, p)
-        loaded = load_features(str(p), "packed-binary")
+        loaded = load_features(str(p))
         np.testing.assert_array_equal(loaded.values, m.values)
         assert np.array_equal(loaded.labels, m.labels)
 
     def test_bad_magic(self, tmp_path):
+        # Without the magic the file is read as CSV, and fails as one.
         p = tmp_path / "f.bin"
         p.write_bytes(b"XXXX" + bytes(20))
-        with pytest.raises(FormatError):
-            load_features(str(p), "packed-binary")
+        with pytest.raises(DataError):
+            load_features(str(p))
+
+    @pytest.mark.parametrize("labels", [None, np.array([3, 1, 4, 1, 5])])
+    def test_packed_and_csv_load_equal(self, tmp_path, labels):
+        values = np.random.default_rng(5).normal(size=(5, 3)).astype(np.float32)
+        values = values.astype(np.float64)
+        save_packed(FeatureMatrix(values, labels), tmp_path / "f.bin")
+        cells = np.char.mod("%.17g", values)
+        if labels is not None:
+            cells = np.column_stack([cells, labels.astype(str)])
+        (tmp_path / "f.csv").write_text("".join(",".join(row) + "\n" for row in cells))
+        label_col = None if labels is None else "last"
+        packed = load_features(tmp_path / "f.bin")
+        csv = load_features(tmp_path / "f.csv", label_col)
+        np.testing.assert_array_equal(packed.values, csv.values)
+        np.testing.assert_array_equal(packed.labels, csv.labels)
 
     def test_truncated(self, tmp_path):
         m = FeatureMatrix(np.ones((4, 3)))
@@ -98,7 +113,7 @@ class TestPackedBinary:
         save_packed(m, p)
         p.write_bytes(p.read_bytes()[:-5])
         with pytest.raises(FormatError):
-            load_features(str(p), "packed-binary")
+            load_features(str(p))
 
     def test_trailing_bytes_rejected(self, tmp_path):
         m = FeatureMatrix(np.ones((4, 3)), np.arange(4))
@@ -106,7 +121,7 @@ class TestPackedBinary:
         save_packed(m, p)
         p.write_bytes(p.read_bytes() + b"\x00")
         with pytest.raises(FormatError):
-            load_features(str(p), "packed-binary")
+            load_features(str(p))
 
 
 def _failing_replace(src, dst):
@@ -214,6 +229,12 @@ class TestNormalize:
         assert np.all(out.values >= -1.0) and np.all(out.values <= 1.0)
         assert np.any(out.norm_stats.apply(raw) > 1.0)
 
+    def test_extreme_columns(self):
+        # hi - lo overflows in the first column and lo + hi in the second.
+        raw = np.array([[-2.0**1023, 1e308], [0.0, 1e308], [2.0**1023, 1e308]])
+        out = normalize(FeatureMatrix(raw))
+        np.testing.assert_array_equal(out.values, [[-1, 0], [0, 0], [1, 0]])
+
 
 class TestFeatureMatrixInvariants:
     def test_label_length(self):
@@ -228,38 +249,6 @@ class TestFeatureMatrixInvariants:
         m = FeatureMatrix(np.ones((2, 2)))
         with pytest.raises(ValueError):
             m.values[0, 0] = 5.0
-
-
-class TestPlanEpochs:
-    def test_exact_partition(self):
-        m = FeatureMatrix(np.ones((10, 2)))
-        plan = plan_epochs(m, 2, 5, seed=7)
-        batches = [plan.batch_indices(i) for i in range(2)]
-        assert all(len(b) == 5 for b in batches)
-        assert sorted(np.concatenate(batches).tolist()) == list(range(10))
-
-    def test_capacity_error(self):
-        m = FeatureMatrix(np.ones((10, 2)))
-        with pytest.raises(CapacityError):
-            plan_epochs(m, 3, 4, seed=7)
-
-    def test_deterministic(self):
-        m = FeatureMatrix(np.ones((10, 2)))
-        a = plan_epochs(m, 2, 5, seed=7)
-        b = plan_epochs(m, 2, 5, seed=7)
-        assert np.array_equal(a.order, b.order)
-
-    def test_seeds_differ(self):
-        m = FeatureMatrix(np.ones((20, 2)))
-        orders = {tuple(plan_epochs(m, 2, 10, seed=s).order.tolist())
-                  for s in range(100)}
-        assert len(orders) > 90
-
-    def test_indices_unique(self):
-        m = FeatureMatrix(np.ones((13, 2)))
-        plan = plan_epochs(m, 3, 4, seed=0)
-        used = np.concatenate([plan.batch_indices(i) for i in range(3)])
-        assert len(set(used.tolist())) == len(used)
 
 
 class TestNormStats:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdhash.errors import (
     CapacityError,
@@ -14,6 +16,7 @@ from hdhash.errors import (
 )
 from hdhash.codes import HashCode
 from hdhash.features import FeatureMatrix, normalize
+from hdhash.rbm import Rbm
 from hdhash.pipeline import (
     Model,
     TrainingConfig,
@@ -61,6 +64,18 @@ class TestConfig:
         config = tiny_config(lam=0.25, eps_sae=1e-3, eps_rbm=None)
         text = "\n".join(config_lines(config, prefix=""))
         assert parse_config_text(text) == config
+
+    @given(lam=st.floats(0.0, 1e308), mu=st.floats(0.0, 1e308),
+           beta=st.floats(1.0, 1.7e308), alpha=st.floats(0.0, 1.7e308, exclude_min=True),
+           eps_sae=st.none() | st.floats(0.0, allow_nan=False),
+           eps_rbm=st.none() | st.floats(0.0, allow_nan=False),
+           layer_dims=st.lists(st.integers(1, 2**40), min_size=2, max_size=4),
+           seed=st.integers(0, 2**64))
+    @settings(max_examples=200, deadline=None)
+    def test_parse_round_trip_extremes(self, **fields):
+        # eps=inf ("never repeat") and floats down to the subnormals
+        config = tiny_config(**fields)
+        assert parse_config_text("\n".join(config_lines(config, prefix=""))) == config
 
     def test_missing_key_named(self):
         config = tiny_config()
@@ -113,6 +128,13 @@ class TestInitModel:
         s = np.sqrt(6.0 / (6 + 4))
         layer = model.sae.layers[0]
         assert np.all(np.abs(layer.enc_w) <= s)
+
+    def test_model_rbm_settings_are_the_configs(self):
+        model = init_model(tiny_config())
+        other = Rbm(model.rbm.w, model.rbm.vis_bias, model.rbm.hid_bias,
+                    beta=model.rbm.beta + 1, cd_steps=model.rbm.cd_steps)
+        with pytest.raises(ConfigError):
+            Model(model.sae, other, model.norm_stats, model.config)
 
     def test_structure(self):
         config = TrainingConfig(layer_dims=(4, 8), code_bits=3, epochs=1,

@@ -30,11 +30,11 @@ from hdhash.search import read_codes_file, write_codes_file
 BINARY_READERS = {
     "model": load_model,
     "codes": read_codes_file,
-    "packed": lambda path: load_features(path, "packed-binary"),
+    "packed": load_features,
 }
 READERS = {
     **BINARY_READERS,
-    "csv": lambda path: load_features(path, "csv", "last"),
+    "csv": lambda path: load_features(path, "last"),
     "config": parse_config_file,
 }
 
