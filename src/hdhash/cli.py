@@ -23,7 +23,7 @@ from .errors import (
     DomainError,
     HdhError,
 )
-from .features import load_features, normalize
+from .features import ascii_int, load_features, normalize
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -178,13 +178,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("query", help="rank indexed codes against a hex query")
     p.add_argument("--codes", required=True)
     p.add_argument("--q", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=ascii_int, required=True)
 
     p = sub.add_parser("eval-pr", help="precision-recall over a radius sweep")
     p.add_argument("--codes", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--mode", choices=["label", "euclidean"], required=True)
-    p.add_argument("--gt-n", type=int, default=0)
+    p.add_argument("--gt-n", type=ascii_int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--label-col", choices=["last"], default=None)
 

@@ -6,9 +6,18 @@ first bytes:
 * Packed binary: magic b"HDH1", u32-LE row count, u32-LE dim, u8 has_labels,
   then rows*dim little-endian float32 values row-major, then (if has_labels)
   rows little-endian int32 labels.
-* CSV (any file that does not start with the magic): one sample per line,
-  comma-separated decimal floats, optionally a final integer label column
-  (declare with label_col="last").
+* CSV (any file that does not start with the magic): UTF-8 text, one
+  sample per line (\n, \r\n or \r ends a line), cells separated by commas.
+  A cell is an ASCII decimal float as float() reads it, without underscores:
+  "-2.5e-3", "1e400" (inf), "inf", "nan"; non-finite values are then
+  refused. With label_col="last" the final cell is an integer label that
+  fits int64 ("+3" reads as 3, "3.0" is refused). Whitespace around a cell
+  is allowed and blank or whitespace-only lines are skipped. There are no
+  quotes and no "#" comments.
+
+A valid CSV file is parsed in one streamed np.loadtxt pass. Where loadtxt
+refuses a file, the line parser reads it again, cell by cell, to name the
+row and column of the error; the two accept the same files.
 
 All values are converted to float64 in memory. Normalization maps every
 dimension into [-1, 1] (the encoder stack reconstructs through tanh, so
@@ -18,6 +27,7 @@ per-dimension shift/scale so queries are transformed identically.
 from __future__ import annotations
 
 import io
+import itertools
 import os
 import secrets
 import struct
@@ -116,7 +126,65 @@ def load_features(path, label_col: str | None = None) -> FeatureMatrix:
         fh.seek(0)
         if packed:
             return _load_packed(fh.read(), path)
-        return _load_csv(io.TextIOWrapper(fh, encoding="utf-8"), path, label_col)
+        with io.TextIOWrapper(fh, encoding="utf-8") as text:
+            return _load_csv(text, path, label_col)
+
+
+def ascii_float(text: str) -> float:
+    """float(text) for an ASCII numeral.
+
+    float() and int() also read underscores (1_000) and non-ASCII digits
+    (Arabic-Indic, fullwidth); the CSV, config and flag grammars do not, so
+    ascii_float and ascii_int raise ValueError for them. Whitespace around
+    the numeral is allowed.
+    """
+    return float(_ascii_numeral(text))
+
+
+def ascii_int(text: str) -> int:
+    """int(text) for an ASCII numeral; see ascii_float."""
+    return int(_ascii_numeral(text))
+
+
+def _ascii_numeral(text: str) -> str:
+    if "_" in text or not text.strip().isascii():
+        raise ValueError(f"not an ASCII numeral: {text!r}")
+    return text
+
+
+def _load_csv(fh, path, label_col):
+    try:
+        loaded = _read_csv_fast(fh, label_col)
+    except ValueError:  # UnicodeDecodeError included
+        loaded = None
+    if loaded is None:
+        fh.seek(0)
+        loaded = _parse_csv_lines(fh, path, label_col)
+    return FeatureMatrix(*loaded)
+
+
+def _read_csv_fast(fh, label_col):
+    """(values, labels) of a CSV file in one streamed np.loadtxt pass.
+
+    Returns None when the file has no data line or its first is too narrow
+    for a label column, and raises ValueError on anything else loadtxt
+    refuses; the line parser then says what and where.
+    """
+    # loadtxt refuses a whitespace-only line, which the grammar skips.
+    lines = (line for line in fh if not line.isspace())
+    first = next(lines, "")
+    width = first.count(",") + 1
+    if not first or (label_col == "last" and width < 2):
+        return None
+    # An iterator, not the path: numpy opens a path through its DataSource,
+    # which decompresses .gz/.bz2/.xz files and fetches URLs.
+    rows = itertools.chain([first], lines)
+    read = dict(delimiter=",", comments=None, encoding="utf-8")
+    if label_col is None:
+        return np.loadtxt(rows, ndmin=2, **read), None
+    rec = np.loadtxt(rows, dtype=[("v", np.float64, (width - 1,)), ("l", np.int64)],
+                     ndmin=1, **read)
+    return np.ascontiguousarray(rec["v"]), rec["l"].copy()
 
 
 def _utf8_lines(fh, path):
@@ -126,7 +194,9 @@ def _utf8_lines(fh, path):
         raise FormatError(f"{path}: not UTF-8 text") from None
 
 
-def _load_csv(fh, path, label_col):
+def _parse_csv_lines(fh, path, label_col):
+    """(values, labels) of a CSV file, read line by line and cell by cell,
+    so that every error names its row and column."""
     rows = []
     labels = [] if label_col == "last" else None
     width = None
@@ -152,7 +222,7 @@ def _load_csv(fh, path, label_col):
         row = []
         for colno, cell in enumerate(feat_cells, start=1):
             try:
-                row.append(float(cell))
+                row.append(ascii_float(cell))
             except ValueError:
                 raise ParseError(
                     f"{path}: cannot parse {cell.strip()!r} at row {lineno}, "
@@ -162,7 +232,7 @@ def _load_csv(fh, path, label_col):
                 ) from None
         if label_cell is not None:
             try:
-                labels.append(np.int64(int(label_cell)))
+                labels.append(np.int64(ascii_int(label_cell)))
             except (ValueError, OverflowError):
                 raise ParseError(
                     f"{path}: cannot parse label {label_cell.strip()!r} at row "
@@ -175,7 +245,7 @@ def _load_csv(fh, path, label_col):
         raise FormatError(f"{path}: no data rows")
     values = np.array(rows, dtype=np.float64)
     labs = np.array(labels, dtype=np.int64) if labels is not None else None
-    return FeatureMatrix(values, labs)
+    return values, labs
 
 
 def _load_packed(blob, path):

@@ -37,7 +37,7 @@ from .errors import (
     TruncationError,
     VersionError,
 )
-from .features import FeatureMatrix, NormStats, atomic_write
+from .features import FeatureMatrix, NormStats, ascii_float, ascii_int, atomic_write
 from .rbm import Rbm
 from .sae import DECORRELATION_MODES, SaeLayer, SaeStack
 
@@ -113,12 +113,12 @@ def _fmt(x: float) -> str:
 
 
 # Config value kinds, as (parser, printer) pairs.
-_FLOAT = (float, _fmt)
-_INT = (int, str)
+_FLOAT = (ascii_float, _fmt)
+_INT = (ascii_int, str)
 _STR = (str, str)
-_EPS = (lambda text: None if text == "auto" else float(text),
+_EPS = (lambda text: None if text == "auto" else ascii_float(text),
         lambda val: "auto" if val is None else _fmt(val))
-_DIMS = (lambda text: tuple(int(p) for p in text.split(",") if p.strip()),
+_DIMS = (lambda text: tuple(ascii_int(p) for p in text.split(",")),
          lambda dims: ",".join(str(d) for d in dims))
 
 # (config-file key, constructor attribute, parser, printer). File keys are

@@ -110,6 +110,22 @@ class TestTrainCommand:
         assert outcome.exit_code == 1
         assert not (tmp_path / "m.hdhm").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("code_bits", "0_2"), ("layer_dims", "4,,3"), ("layer_dims", "4,3,"),
+    ])
+    def test_non_ascii_numeral_exits_1(self, tmp_path, key, value):
+        config_path = tmp_path / "t.cfg"
+        write_config(config_path)
+        config_path.write_text("".join(
+            f"{key}={value}\n" if line.startswith(key + "=") else line + "\n"
+            for line in config_path.read_text().splitlines()))
+        features_path = tmp_path / "f.csv"
+        write_features_csv(features_path)
+        outcome = cmd_train(str(config_path), str(features_path),
+                            str(tmp_path / "m.hdhm"))
+        assert outcome.exit_code == 1
+        assert key in outcome.message
+
     def test_missing_config_file(self, tmp_path):
         features_path = tmp_path / "f.csv"
         write_features_csv(features_path)
@@ -142,6 +158,19 @@ class TestEncodeCommand:
         cmd_encode(str(model_path), str(features_path), str(p1))
         cmd_encode(str(model_path), str(features_path), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("cell", ["abc", "1_0", "\u0661"])
+    def test_malformed_cell_exits_2_at_its_position(self, trained, tmp_path, cell):
+        _, features_path, model_path = trained
+        lines = features_path.read_text().splitlines()
+        cells = lines[7].split(",")
+        cells[2] = cell
+        lines[7] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        outcome = cmd_encode(str(model_path), str(bad), str(tmp_path / "c.hdhc"))
+        assert outcome.exit_code == 2
+        assert "at row 8, column 3" in outcome.message
 
     def test_packed_binary_features(self, trained, tmp_path):
         _, features_path, model_path = trained
@@ -283,6 +312,13 @@ class TestQueryCommand:
         assert outcome.exit_code == 1
         assert not any(line.startswith("id=") for line in outcome.lines)
 
+    @pytest.mark.parametrize("k", ["1_0", "\uff11\uff10", "\u0663"])
+    def test_k_not_ascii_digits_exits_1(self, tmp_path, capsys, k):
+        # argparse's type=int read each of these.
+        path, _ = self.make_codes(tmp_path)
+        assert main(["query", "--codes", str(path), "--q", "0" * 16, "--k", k]) == 1
+        assert "id=" not in capsys.readouterr().out
+
     def test_k_zero_exits_1(self, tmp_path):
         path, bits = self.make_codes(tmp_path)
         query = HashCode.from_bits(bits[0])
@@ -363,6 +399,19 @@ class TestEvalPrCommand:
         outcome = cmd_eval_pr(str(codes_path), str(features_path), "euclidean", 3,
                               str(tmp_path / "pr.csv"))
         assert outcome.exit_code == 0
+
+    @pytest.mark.parametrize("gt_n", ["1_0", "\uff11\uff10"])
+    def test_gt_n_not_ascii_digits_exits_1(self, tmp_path, gt_n):
+        gen = np.random.default_rng(22)
+        codes_path = tmp_path / "c.hdhc"
+        write_codes_file(codes_path, pack_bits((gen.random((12, 8)) < 0.5)
+                                               .astype(np.uint8)), 8)
+        features_path = tmp_path / "f.csv"
+        write_features_csv(features_path, rows=12, dim=3)
+        assert main(["eval-pr", "--codes", str(codes_path), "--features",
+                     str(features_path), "--mode", "euclidean", "--gt-n", gt_n,
+                     "--out", str(tmp_path / "pr.csv")]) == 1
+        assert not (tmp_path / "pr.csv").exists()
 
     def test_count_mismatch_exits_2(self, tmp_path):
         gen = np.random.default_rng(23)

@@ -1,13 +1,19 @@
 import errno
+import gzip
 import os
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from hdhash.errors import DataError, FormatError, ParseError, ShapeError
+from hdhash.errors import DataError, FormatError, HdhError, ParseError, ShapeError
 from hdhash.features import (
     FeatureMatrix,
     NormStats,
+    _parse_csv_lines,
+    _read_csv_fast,
     atomic_write,
     load_features,
     normalize,
@@ -72,6 +78,129 @@ class TestLoadCsv:
         p = write(tmp_path / "f.csv", "1,nan\n")
         with pytest.raises(FormatError):
             load_features(p)
+
+    @pytest.mark.parametrize("cell", ["1_000", "\u0661", "\uff13", " 1_0 "])
+    def test_non_ascii_numeral_rejected(self, tmp_path, cell):
+        # float() reads each of these; the grammar does not.
+        p = write(tmp_path / "f.csv", f"1,2,0\n3,{cell},1\n")
+        with pytest.raises(ParseError) as err:
+            load_features(p, label_col="last")
+        assert (err.value.row, err.value.col) == (2, 2)
+
+    @pytest.mark.parametrize("label", ["3_0", "\u0663", "\uff13"])
+    def test_non_ascii_label_rejected(self, tmp_path, label):
+        p = write(tmp_path / "f.csv", f"1,2,0\n3,4,{label}\n")
+        with pytest.raises(ParseError) as err:
+            load_features(p, label_col="last")
+        assert (err.value.row, err.value.col) == (2, 3)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        p = write(tmp_path / "f.csv", "\n \t\n1,2,0\n \n3,4,1\n\n")
+        m = load_features(p, label_col="last")
+        np.testing.assert_array_equal(m.values, [[1, 2], [3, 4]])
+        np.testing.assert_array_equal(m.labels, [0, 1])
+
+    def test_compressed_file_not_decompressed(self, tmp_path):
+        # np.loadtxt on a path would gunzip a .gz file; the reader reads
+        # the file's own bytes, which are not UTF-8 text.
+        p = tmp_path / "f.csv.gz"
+        p.write_bytes(gzip.compress(b"1,2\n3,4\n"))
+        with pytest.raises(FormatError, match="UTF-8"):
+            load_features(p)
+
+
+def _outcome(read):
+    """read()'s result, or the type of the HdhError it raised."""
+    try:
+        return read()
+    except HdhError as exc:
+        return type(exc)
+
+
+def _long_mantissa(sign, digits, point, exponent):
+    return f"{sign}{digits[:point]}.{digits[point:]}{exponent}"
+
+
+FINITE_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.builds(_long_mantissa, st.sampled_from(["", "-", "+"]),
+              st.text("0123456789", min_size=17, max_size=25), st.integers(0, 25),
+              st.sampled_from(["", "e0", "e-5", "E+300", "e-320"])),
+    st.sampled_from(["1e-400", "-1e-400", "0", "-0", ".5", "5.", "1E5"]),
+)
+NON_FINITE_CELLS = st.sampled_from(["1e400", "-1e400", "inf", "-Infinity", "infinity",
+                                    "INF", "nan", "-NaN"])
+BAD_CELLS = st.sampled_from(["1_000", "1_0.5", "\u0661", "\uff13", "#", "1#",
+                             "#1", "", "abc", "0x1", ".", "1e", "--1", "1 2",
+                             "1\x00"])
+VALID_LABELS = st.one_of(
+    st.integers(-2**63, 2**63 - 1).map(str),
+    st.sampled_from([str(2**63 - 1), str(-2**63), "+3", "-0", "003"]),
+)
+BAD_LABELS = st.sampled_from([str(2**63), str(-2**63 - 1), "3.0", "3e0", "3_0",
+                              "\u0663", "#3", "3#", "", "+", "0x3", "3\x00"])
+SPACES = st.sampled_from(["", "", " ", "\t", " \t", "\xa0", "\u3000", "\x0c"])
+BLANK_LINES = st.sampled_from(["", "", "", " ", "\t\x0c", "\u3000"])
+NEWLINES = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text, valid or nearly so, and its label_col."""
+    labelled = draw(st.booleans())
+    kind = draw(st.sampled_from(["finite", "non-finite", "bad"]))
+    valid = kind != "bad"
+    cells = {"finite": FINITE_CELLS,
+             "non-finite": st.one_of(FINITE_CELLS, NON_FINITE_CELLS),
+             "bad": st.one_of(FINITE_CELLS, NON_FINITE_CELLS, BAD_CELLS)}[kind]
+    labels = VALID_LABELS if valid else st.one_of(VALID_LABELS, BAD_LABELS)
+    width = draw(st.integers(1, 4))
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = [draw(cells) for _ in range(width - labelled)]
+        if labelled:
+            row.append(draw(labels))
+        if not valid and draw(st.integers(0, 5)) == 0:
+            row.append(draw(cells))  # a ragged row
+        lines.append(",".join(draw(SPACES) + c + draw(SPACES) for c in row))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(BLANK_LINES))
+    ends = [draw(NEWLINES) for _ in lines]
+    ends[-1] = draw(st.sampled_from(["", "\n", "\r\n", "\r"]))
+    return "".join(a + b for a, b in zip(lines, ends)), "last" if labelled else None
+
+
+class TestCsvFastPath:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=csv_texts())
+    def test_fast_path_equals_line_parser(self, tmp_path, case):
+        text, label_col = case
+        path = tmp_path / "f.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = _outcome(lambda: load_features(path, label_col))
+            with open(path, encoding="utf-8") as fh:
+                by_lines = _outcome(
+                    lambda: FeatureMatrix(*_parse_csv_lines(fh, path, label_col)))
+            with open(path, encoding="utf-8") as fh:
+                try:
+                    fast_refused = _read_csv_fast(fh, label_col) is None
+                except ValueError:
+                    fast_refused = True
+        if isinstance(by_lines, type):
+            assert loaded is by_lines
+            return
+        assert not fast_refused  # the line parser only locates errors
+        assert isinstance(loaded, FeatureMatrix)
+        assert loaded.values.flags.c_contiguous
+        assert loaded.values.shape == by_lines.values.shape
+        assert loaded.values.tobytes() == by_lines.values.tobytes()
+        if label_col is None:
+            assert loaded.labels is None and by_lines.labels is None
+        else:
+            np.testing.assert_array_equal(loaded.labels, by_lines.labels)
 
 
 class TestPackedBinary:

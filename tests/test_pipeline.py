@@ -77,6 +77,18 @@ class TestConfig:
         config = tiny_config(**fields)
         assert parse_config_text("\n".join(config_lines(config, prefix=""))) == config
 
+    @pytest.mark.parametrize("key, value", [
+        ("code_bits", "0_2"), ("code_bits", "\uff12"), ("seed", "\u0661"),
+        ("lambda", "0_1"), ("eps_sae", "1_0"), ("layer_dims", "4,,3"),
+        ("layer_dims", "4,3,"), ("layer_dims", "4,\u0663"),
+    ])
+    def test_non_ascii_numeral_rejected(self, key, value):
+        # int()/float() read each of these; an empty layer_dims part was skipped.
+        lines = [f"{key}={value}" if line.startswith(key + "=") else line
+                 for line in config_lines(tiny_config(), prefix="")]
+        with pytest.raises(ConfigError, match=key):
+            parse_config_text("\n".join(lines))
+
     def test_missing_key_named(self):
         config = tiny_config()
         lines = [l for l in config_lines(config, prefix="") if not l.startswith("alpha=")]
