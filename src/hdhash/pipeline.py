@@ -429,8 +429,12 @@ def _parse_vec(text: str, size: int, key: str) -> np.ndarray:
     parts = text.split()
     if len(parts) != size:
         raise FormatError(f"model field {key}: expected {size} values, got {len(parts)}")
+    # float(), and numpy's str->float cast with it, also read 1_0 and
+    # non-ASCII digits; the payload, like the config echo, is ASCII numerals.
+    if "_" in text or not text.isascii():
+        raise FormatError(f"model field {key}: a value is not an ASCII numeral")
     try:
-        values = np.array([float(p) for p in parts], dtype=np.float64)
+        values = np.array(parts, dtype=np.float64)
     except ValueError:
         raise FormatError(f"model field {key}: a value is not a number") from None
     if not np.all(np.isfinite(values)):

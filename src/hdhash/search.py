@@ -12,9 +12,12 @@ Euclidean ground truth filters before it selects. For a block of queries one
 matmul tile gives squared distances in Gram form, ||x||^2 + ||y||^2 - 2x.y,
 and a partition of each tile row finds its cut. Every row within a proven
 rounding bound of the cut is a candidate, and only the candidates get the
-exact distance, np.linalg.norm of the row difference, from which the
-selection above picks. So the result is the one a full row of exact
-distances gives; a query with an overflowed Gram entry takes that full row.
+exact distance, np.linalg.norm of the row difference. The re-check runs
+once per tile, not once per query: every candidate of the block is found in
+one pass over the tile, and one lexsort by (query, distance, id) ranks them
+all, each query keeping its first n_gt. So the result is the one a full row
+of exact distances gives; a query with an overflowed Gram entry takes that
+full row.
 
 Precision-recall curves sweep the Hamming radius 0..k over a Q x N bool
 relevance matrix on index positions (precision_recall builds it from id
@@ -22,7 +25,10 @@ sets). At each radius a query's precision is relevant-retrieved / retrieved,
 or 1.0 when nothing was retrieved (vacuous precision, so curves start
 sensibly near recall 0); the reported curve keeps the first point for each
 distinct mean recall. Reported AUC is the trapezoid over those points,
-anchored at recall 0 with the first point's precision.
+anchored at recall 0 with the first point's precision. The counts behind
+each point are taken for a block of queries at once: one Hamming scan gives
+the block's distances, and one bincount over per-query bins counts the
+retrieved and relevant-retrieved positions at every distance.
 """
 from __future__ import annotations
 
@@ -46,9 +52,11 @@ CODES_MAGIC = b"HDHC"
 
 GROUND_TRUTH_MODES = ("label", "euclidean")
 
-# Squared distances per Gram tile of Euclidean ground truth: a block of
-# queries against every row. It bounds the tile's temporaries, and so the
-# peak memory of evaluation.
+# Entries per tile of evaluation: the Gram tile of Euclidean ground truth (a
+# block of queries against every row, or its gather of query rows if wider)
+# and the Hamming distance tile of pr_table (a block of queries against
+# every code, or its bin counts if wider). It bounds both tiles'
+# temporaries, and so the peak memory of evaluation.
 _GRAM_TILE = 1 << 16
 
 
@@ -208,7 +216,10 @@ def _euclidean_relevance(values: np.ndarray, query_rows: np.ndarray, n_gt: int) 
     floor = 16 * (dim + 1) * np.finfo(np.float64).smallest_subnormal
     sq = np.einsum("ij,ij->i", values, values)
     sq_max = sq.max()
-    block = max(1, _GRAM_TILE // n)
+    # The gather values[queries] is block x dim, the tile block x n.
+    block = max(1, _GRAM_TILE // max(n, dim))
+    # Exact distances in slices of at most one tile of coordinates.
+    step = max(1, _GRAM_TILE // dim)
     for start in range(0, query_rows.size, block):
         queries = query_rows[start:start + block]
         # Overflow here is expected; it sends the query to the full row.
@@ -221,16 +232,31 @@ def _euclidean_relevance(values: np.ndarray, query_rows: np.ndarray, n_gt: int) 
             gram[np.arange(queries.size), queries] = np.inf  # self is never its own neighbor
             cut = np.partition(gram, k - 1, axis=1)[:, k - 1].copy()  # no view: frees it
             reach = cut + 4 * (rel * (sq[queries] + sq_max + np.abs(cut)) + floor)
-        for qi, q in enumerate(queries):
-            if finite[qi] and np.isfinite(reach[qi]):
-                cand = np.flatnonzero(gram[qi] <= reach[qi])
-                d = np.linalg.norm(values[cand] - values[q], axis=1)
-                if np.isfinite(d).all():
-                    relevant[start + qi, cand[_smallest(d, n_gt, cand)]] = True
-                    continue
+            fast = finite & np.isfinite(reach)
+            # NaN reach: a full-row query has no candidates here.
+            flat = np.flatnonzero(gram <= np.where(fast, reach, np.nan)[:, None])
+        del gram  # freed before the re-check's slices
+        qi, cand = np.divmod(flat, n)
+        d = np.empty(flat.size)
+        for lo in range(0, flat.size, step):
+            diff = values[cand[lo:lo + step]]
+            diff -= values[queries[qi[lo:lo + step]]]
+            d[lo:lo + step] = np.linalg.norm(diff, axis=1)
+        exact = np.isfinite(d)
+        if not exact.all():
+            fast[qi[~exact]] = False
+            keep = fast[qi]
+            qi, cand, d = qi[keep], cand[keep], d[keep]
+        # Each query's candidates in (distance, id) order; its first n_gt win.
+        order = np.lexsort((cand, d, qi))
+        qi, cand = qi[order], cand[order]
+        win = np.arange(qi.size) - np.searchsorted(qi, qi) < n_gt
+        relevant[start + qi[win], cand[win]] = True
+        for i in np.flatnonzero(~fast):
+            q = queries[i]
             d = np.linalg.norm(values - values[q], axis=1)
             d[q] = np.inf
-            relevant[start + qi, _smallest(d, n_gt, np.arange(n))] = True
+            relevant[start + i, _smallest(d, n_gt, np.arange(n))] = True
     return relevant
 
 
@@ -288,14 +314,29 @@ def pr_table(index: HammingIndex, query_words, relevant, exclude=None) -> list[P
         raise DataError(f"query {int(np.argmin(rel_sizes))} has no relevant position")
     k = index.n_bits
 
+    # A block's distances sit in 2(k + 2) bins per query: bin d counts
+    # distance d, bin k + 2 + d a relevant position at d, and bin k + 1 (or
+    # 2k + 3, if relevant) the excluded position, which no radius retrieves.
+    # The block keeps both its b x N distances and its b x 2(k + 2) counts
+    # within one tile.
+    bins = 2 * (k + 2)
+    block = max(1, _GRAM_TILE // max(index.size, bins))
     n_ret = np.zeros((n_queries, k + 1), dtype=np.int64)
     n_rel = np.zeros((n_queries, k + 1), dtype=np.int64)
-    for qi in range(n_queries):
-        dists = _query_distances(index, query_words[qi])
+    for start in range(0, n_queries, block):
+        stop = min(start + block, n_queries)
+        dists = hamming_words(index.words[None], query_words[start:stop, None])
         if exclude is not None:
-            dists[exclude[qi]] = k + 1  # beyond every radius
-        n_ret[qi] = np.bincount(dists, minlength=k + 2)[:k + 1].cumsum()
-        n_rel[qi] = np.bincount(dists[relevant[qi]], minlength=k + 2)[:k + 1].cumsum()
+            dists[np.arange(stop - start), exclude[start:stop]] = k + 1
+        dists += relevant[start:stop] * (k + 2)
+        dists += np.arange(0, (stop - start) * bins, bins)[:, None]
+        counts = np.bincount(dists.ravel(), minlength=(stop - start) * bins)
+        del dists  # not alive beside the next block's
+        counts = counts.reshape(stop - start, bins)
+        hits = counts[:, k + 2:2 * k + 3]
+        np.cumsum(hits, axis=1, out=n_rel[start:stop])
+        hits += counts[:, :k + 1]
+        np.cumsum(hits, axis=1, out=n_ret[start:stop])
 
     rows = []
     for radius in range(k + 1):

@@ -17,8 +17,9 @@ from hdhash.cli import (
     main,
 )
 from hdhash.codes import HashCode, pack_bits
+from hdhash.errors import FormatError
 from hdhash.features import FeatureMatrix, save_packed
-from hdhash.pipeline import TrainingConfig, config_lines
+from hdhash.pipeline import TrainingConfig, config_lines, load_model
 from hdhash.search import read_codes_file, write_codes_file
 
 from conftest import NOT_HEX, write_raw_codes
@@ -212,6 +213,23 @@ class TestMalformedModel:
         assert outcome.exit_code == 2
         assert outcome.summary == "status=error exit=2"
         assert not (tmp_path / "c.hdhc").exists()
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0661", "\uff13"],
+                             ids=["underscore", "arabic-indic", "fullwidth"])
+    def test_payload_number_not_ascii_exits_2(self, trained, tmp_path, value):
+        # float() reads all three (as 10, 1 and 3); the payload grammar does not.
+        _, features_path, model_path = trained
+        payload = model_path.read_bytes()[12:]
+        start = payload.index(b"norm.shift=") + len(b"norm.shift=")
+        first = payload[start:payload.index(b" ", start)]
+        rewrite_payload(model_path, b"norm.shift=" + first,
+                        b"norm.shift=" + value.encode("utf-8"))
+        with pytest.raises(FormatError, match="norm.shift"):
+            load_model(model_path)
+        outcome = cmd_encode(str(model_path), str(features_path),
+                             str(tmp_path / "c.hdhc"))
+        assert outcome.exit_code == 2
+        assert "ASCII numeral" in outcome.message
 
 
 class TestNotUtf8:

@@ -333,6 +333,21 @@ class TestGroundTruth:
             tracemalloc.stop()
         assert peak < truth.nbytes + 3 * 8 * 2**16
 
+    @pytest.mark.parametrize("rows, dim", [(600, 2048), (300, 8192)])
+    def test_euclidean_tile_memory_bounded_in_dim(self, rows, dim):
+        # Wide rows: the block's gather of query rows and the exact re-check
+        # of its candidates must also stay within a tile or so, not grow
+        # with the dimension.
+        gen = np.random.default_rng(24)
+        data = FeatureMatrix(gen.normal(size=(rows, dim)))
+        tracemalloc.start()
+        try:
+            truth = ground_truth(data, np.arange(rows), "euclidean", n_gt=20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < truth.nbytes + 3 * 8 * 2**16
+
     def test_label_mode_needs_labels(self):
         data = FeatureMatrix(np.ones((3, 2)))
         with pytest.raises(ConfigError):
@@ -419,6 +434,60 @@ class TestPrecisionRecall:
             assert got.recall == pytest.approx(recall, rel=1e-12)
             assert got.precision == pytest.approx(precision, rel=1e-12)
             assert got.mean_retrieved == pytest.approx(retrieved, rel=1e-12)
+
+    @given(st.integers(min_value=1, max_value=13), st.integers(min_value=1, max_value=12),
+           st.sampled_from([1, 7, 64, 70]), st.booleans(), st.booleans(),
+           st.integers(min_value=0, max_value=2**32))
+    @example(n_queries=13, n=5, k=1, excluding=True, exclude_relevant=True, seed=0)
+    @example(n_queries=7, n=12, k=7, excluding=True, exclude_relevant=True, seed=1)
+    @settings(max_examples=60, deadline=None)
+    def test_property_independent_of_block(self, n_queries, n, k, excluding,
+                                           exclude_relevant, seed):
+        # Tile 1 counts one query per block; tile 40 puts up to six in a
+        # block (k = 1, n <= 6), so 13 queries fill several blocks and a
+        # partial last one; 2**16 counts them all at once. An excluded
+        # position that is also relevant counts as neither retrieved nor
+        # relevant-retrieved, at every radius.
+        gen = np.random.default_rng(seed)
+        index, bits = random_index(gen, n, k)
+        qbits = (gen.random((n_queries, k)) < gen.random()).astype(np.uint8)
+        relevant = gen.random((n_queries, n)) < gen.random()
+        relevant[np.arange(n_queries), gen.integers(0, n, n_queries)] = True
+        exclude = gen.integers(0, n, n_queries) if excluding else None
+        if excluding and exclude_relevant:
+            relevant[np.arange(n_queries), exclude] = True
+        tables = []
+        for tile in (1, 40, 1 << 16):
+            with mock.patch.object(search, "_GRAM_TILE", tile):
+                tables.append(pr_table(index, pack_bits(qbits), relevant, exclude=exclude))
+        assert tables[0] == tables[1] == tables[2]
+        truth = [set(np.flatnonzero(r).tolist()) for r in relevant]
+        expected = pr_direct([b.tolist() for b in bits], index.ids,
+                             [b.tolist() for b in qbits], truth, k,
+                             exclude=None if exclude is None else exclude.tolist())
+        assert len(tables[0]) == len(expected) == k + 1
+        for got, (radius, recall, precision, retrieved) in zip(tables[0], expected):
+            assert got.radius == radius
+            assert got.recall == pytest.approx(recall, rel=1e-12)
+            assert got.precision == pytest.approx(precision, rel=1e-12)
+            assert got.mean_retrieved == pytest.approx(retrieved, rel=1e-12)
+
+    @pytest.mark.parametrize("n, k", [(4000, 32), (2400, 96), (300, 1000)])
+    def test_memory_bounded(self, n, k):
+        # Every row a query, as eval-pr runs it. Beside the two Q x (k + 1)
+        # count arrays, a block's distances and bin counts each fit one tile
+        # of 2**16 int64, and hamming_words needs about two more.
+        gen = np.random.default_rng(25)
+        index, _ = random_index(gen, n, k)
+        relevant = gen.random((n, n)) < 0.05
+        relevant[np.arange(n), (np.arange(n) + 1) % n] = True
+        tracemalloc.start()
+        try:
+            pr_table(index, index.words, relevant, exclude=np.arange(n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * (k + 1) * 8 + 4 * 8 * 2**16
 
     def test_empty_relevance_rejected(self):
         gen = np.random.default_rng(15)
