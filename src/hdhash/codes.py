@@ -68,9 +68,6 @@ class HashCode:
             raise DomainError("bits must be 0 or 1")
         return cls(bits.size, pack_bits(bits.reshape(1, -1))[0])
 
-    def to_bits(self) -> np.ndarray:
-        return unpack_bits(self.words.reshape(1, -1), self.n_bits)[0]
-
     def to_hex(self) -> str:
         """Hex string of whole words, most-significant word first."""
         return "".join(f"{int(w):016x}" for w in self.words[::-1])
@@ -110,14 +107,6 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     padded = np.zeros((n, n_words * 8), dtype=np.uint8)
     padded[:, : packed.shape[1]] = packed
     return padded.view("<u8").astype(np.uint64)
-
-
-def unpack_bits(words: np.ndarray, n_bits: int) -> np.ndarray:
-    """Inverse of pack_bits; returns an N x n_bits uint8 matrix."""
-    words = np.ascontiguousarray(words, dtype="<u8")
-    as_bytes = words.view(np.uint8).reshape(words.shape[0], -1)
-    bits = np.unpackbits(as_bytes, axis=1, bitorder="little")
-    return bits[:, :n_bits]
 
 
 def hamming_words(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -16,8 +16,9 @@ exact distance, np.linalg.norm of the row difference. The re-check runs
 once per tile, not once per query: every candidate of the block is found in
 one pass over the tile, and one lexsort by (query, distance, id) ranks them
 all, each query keeping its first n_gt. So the result is the one a full row
-of exact distances gives; a query with an overflowed Gram entry takes that
-full row.
+of exact distances gives. A query whose squared norm, plus the largest row's,
+passes a quarter of the float64 maximum, where the Gram form could overflow,
+takes every row as a candidate and goes through the same re-check.
 
 Precision-recall curves sweep the Hamming radius 0..k over a Q x N bool
 relevance matrix on index positions (precision_recall builds it from id
@@ -183,7 +184,8 @@ def _euclidean_relevance(values: np.ndarray, query_rows: np.ndarray, n_gt: int) 
 
     A Gram tile of squared distances per block of queries finds a cut and a
     few candidates; only those get the exact distance, which picks the
-    winners exactly as a full row of exact distances would.
+    winners exactly as a full row of exact distances would. A query too
+    large for the Gram form to stay finite takes every row as a candidate.
     """
     n, dim = values.shape
     relevant = np.zeros((query_rows.size, n), dtype=bool)
@@ -209,54 +211,49 @@ def _euclidean_relevance(values: np.ndarray, query_rows: np.ndarray, n_gt: int) 
     # those k rows' E, so it can neither win nor tie its way in by id. The
     # m below is about twice that, which also absorbs the rounding of m and
     # of c + m. The proof needs every value finite: overflow makes a norm
-    # inf and a difference of infs NaN. A query whose tile row, reach or
-    # candidate distances are not all finite takes the full row of exact
-    # distances instead.
+    # inf and a difference of infs NaN. While sq_x + max sq <= max/4, every
+    # G, the reach and every candidate's E is at most about 2(sq_x + max sq),
+    # so all are finite. A query above that bound takes every row as a
+    # candidate, so its cut is the full row of exact distances.
     rel = 2 * (dim + 4) * np.finfo(np.float64).eps
     floor = 16 * (dim + 1) * np.finfo(np.float64).smallest_subnormal
     sq = np.einsum("ij,ij->i", values, values)
     sq_max = sq.max()
+    full = sq + sq_max > np.finfo(np.float64).max / 4
     # The gather values[queries] is block x dim, the tile block x n.
     block = max(1, _GRAM_TILE // max(n, dim))
     # Exact distances in slices of at most one tile of coordinates.
     step = max(1, _GRAM_TILE // dim)
     for start in range(0, query_rows.size, block):
         queries = query_rows[start:start + block]
-        # Overflow here is expected; it sends the query to the full row.
+        # A full-row query's tile row may overflow; its near row is all True.
         with np.errstate(over="ignore", invalid="ignore"):
             gram = values[queries] @ values.T
             gram *= -2.0
             gram += sq
             gram += sq[queries, None]
-            finite = np.isfinite(gram).all(axis=1)
             gram[np.arange(queries.size), queries] = np.inf  # self is never its own neighbor
             cut = np.partition(gram, k - 1, axis=1)[:, k - 1].copy()  # no view: frees it
             reach = cut + 4 * (rel * (sq[queries] + sq_max + np.abs(cut)) + floor)
-            fast = finite & np.isfinite(reach)
-            # NaN reach: a full-row query has no candidates here.
-            flat = np.flatnonzero(gram <= np.where(fast, reach, np.nan)[:, None])
+            near = gram <= reach[:, None]
         del gram  # freed before the re-check's slices
-        qi, cand = np.divmod(flat, n)
-        d = np.empty(flat.size)
-        for lo in range(0, flat.size, step):
-            diff = values[cand[lo:lo + step]]
-            diff -= values[queries[qi[lo:lo + step]]]
-            d[lo:lo + step] = np.linalg.norm(diff, axis=1)
-        exact = np.isfinite(d)
-        if not exact.all():
-            fast[qi[~exact]] = False
-            keep = fast[qi]
-            qi, cand, d = qi[keep], cand[keep], d[keep]
-        # Each query's candidates in (distance, id) order; its first n_gt win.
-        order = np.lexsort((cand, d, qi))
+        near[full[queries]] = True
+        qi, cand = np.divmod(np.flatnonzero(near), n)
+        del near
+        d = np.empty(qi.size)
+        # A full-row query's distances may overflow to inf.
+        with np.errstate(over="ignore"):
+            for lo in range(0, qi.size, step):
+                diff = values[cand[lo:lo + step]]
+                diff -= values[queries[qi[lo:lo + step]]]
+                d[lo:lo + step] = np.linalg.norm(diff, axis=1)
+        d[cand == queries[qi]] = np.inf  # self, when a candidate, is never its own neighbor
+        # Each query's candidates in (distance, id) order, as cand ascends
+        # within each query and lexsort is stable; its first n_gt win.
+        order = np.lexsort((d, qi))
         qi, cand = qi[order], cand[order]
         win = np.arange(qi.size) - np.searchsorted(qi, qi) < n_gt
         relevant[start + qi[win], cand[win]] = True
-        for i in np.flatnonzero(~fast):
-            q = queries[i]
-            d = np.linalg.norm(values - values[q], axis=1)
-            d[q] = np.inf
-            relevant[start + i, _smallest(d, n_gt, np.arange(n))] = True
     return relevant
 
 

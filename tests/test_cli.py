@@ -418,6 +418,25 @@ class TestEvalPrCommand:
                               str(tmp_path / "pr.csv"))
         assert outcome.exit_code == 0
 
+    def test_euclidean_overflowing_features_warn_nothing(self, tmp_path):
+        # Squared norms of 1e160-scaled rows overflow, so inf distances are
+        # expected inside ground truth; numpy must not report them.
+        gen = np.random.default_rng(26)
+        codes_path = tmp_path / "c.hdhc"
+        write_codes_file(codes_path, pack_bits((gen.random((30, 8)) < 0.5)
+                                               .astype(np.uint8)), 8)
+        features_path = tmp_path / "f.csv"
+        np.savetxt(features_path, 1e160 * gen.normal(size=(30, 3)), delimiter=",")
+        path = [str(Path(hdhash.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "hdhash.cli", "eval-pr", "--codes",
+             str(codes_path), "--features", str(features_path), "--mode", "euclidean",
+             "--gt-n", "5", "--out", str(tmp_path / "pr.csv")],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+
     @pytest.mark.parametrize("gt_n", ["1_0", "\uff11\uff10"])
     def test_gt_n_not_ascii_digits_exits_1(self, tmp_path, gt_n):
         gen = np.random.default_rng(22)

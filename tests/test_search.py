@@ -46,8 +46,10 @@ def random_index(gen, n, k, labels=None):
 
 
 # Row scales where the Gram form overflows (1e160), loses bits among the
-# subnormals (around 1e-160) or is plain (1, 1e150).
-EXTREME_SCALES = [3e-161, 1e-160, 1e-159, 1.0, 1e150, 1e160]
+# subnormals (around 1e-160) or is plain (1, 1e150). Squared norms stay
+# below a quarter of the float64 maximum at 1e153 and mostly pass it at
+# 1e154, where a query starts taking every row as a candidate.
+EXTREME_SCALES = [3e-161, 1e-160, 1e-159, 1.0, 1e150, 1e153, 1e154, 1e160]
 
 
 def distance(a: HashCode, b: HashCode) -> int:
@@ -347,6 +349,21 @@ class TestGroundTruth:
         finally:
             tracemalloc.stop()
         assert peak < truth.nbytes + 3 * 8 * 2**16
+
+    @pytest.mark.parametrize("rows, dim, every", [(2000, 512, 50), (600, 2048, 1)])
+    def test_euclidean_overflow_memory_bounded_in_dim(self, rows, dim, every):
+        # Squared norms overflow at 1e160, so every query takes all rows as
+        # candidates; they go through the same tiles and slices, not a
+        # rows x dim difference per query.
+        gen = np.random.default_rng(25)
+        data = FeatureMatrix(1e160 * gen.normal(size=(rows, dim)))
+        tracemalloc.start()
+        try:
+            truth = ground_truth(data, np.arange(0, rows, every), "euclidean", n_gt=20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < truth.nbytes + 8 * 8 * 2**16
 
     def test_label_mode_needs_labels(self):
         data = FeatureMatrix(np.ones((3, 2)))
