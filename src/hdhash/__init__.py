@@ -37,7 +37,6 @@ from .rbm import Rbm, RbmGradients
 from .sae import SaeGradients, SaeLayer, SaeStack, binarize_pm, encode_stack
 from .search import (
     HammingIndex,
-    PRCurve,
     auc,
     ground_truth,
     precision_recall,

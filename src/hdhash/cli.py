@@ -59,6 +59,8 @@ def _guard(fn) -> CommandOutcome:
     except OSError as exc:
         # Writes report through _writing, so this is an unreadable input.
         return _fail(EXIT_DATA, f"cannot read input file: {exc}")
+    except MemoryError as exc:
+        return _fail(EXIT_DATA, f"not enough memory: {str(exc) or 'allocation failed'}")
 
 
 @contextmanager
@@ -148,7 +150,7 @@ def cmd_eval_pr(codes_path, features_path, mode, gt_n, out_csv,
         table = search.pr_table(index, words, relevant, exclude=rows)
         with _writing(out_csv):
             search.write_pr_csv(out_csv, table)
-        area = search.auc(search.curve_from_table(table))
+        area = search.auc(table)
         return _ok(f"status=ok pr_csv={out_csv} auc={area:.17g} mode={mode} "
                    f"queries={data.rows}")
 

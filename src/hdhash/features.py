@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, ParseError, ShapeError
+from .errors import ConfigError, DataError, FormatError, ParseError, ShapeError
 
 PACKED_MAGIC = b"HDH1"
 
@@ -314,7 +314,12 @@ def normalize(m: FeatureMatrix) -> FeatureMatrix:
     # Halving first keeps both finite for any finite lo and hi.
     shift = lo / 2.0 + hi / 2.0
     half = hi / 2.0 - lo / 2.0
-    scale = np.where(half > 0, 1.0 / np.where(half > 0, half, 1.0), 0.0)
+    with np.errstate(over="ignore"):
+        scale = np.where(half > 0, 1.0 / np.where(half > 0, half, 1.0), 0.0)
+    narrow = np.flatnonzero(np.isinf(scale))
+    if narrow.size:
+        raise DataError(f"feature column {narrow[0] + 1} spans a range too "
+                        f"narrow to scale to [-1, 1] (half-range {half[narrow[0]]:.3g})")
     stats = NormStats("minmax_symmetric", shift, scale)
     # (raw - shift) * scale can round a column's extreme a few ulp past 1,
     # and train accepts only values in [-1, 1].

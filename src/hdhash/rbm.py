@@ -123,8 +123,8 @@ def free_energy(rbm: Rbm, v) -> np.ndarray:
     return float(f[0]) if v.ndim == 1 else f
 
 
-def gibbs_chain(rbm: Rbm, v0, rng, steps: int | None = None) -> tuple[np.ndarray, GibbsStats]:
-    """Alternate h ~ P(h|v), v ~ P(v|h) for `steps` rounds (default cd_steps).
+def gibbs_chain(rbm: Rbm, v0, rng) -> tuple[np.ndarray, GibbsStats]:
+    """Alternate h ~ P(h|v), v ~ P(v|h) for rbm.cd_steps rounds.
 
     v0 is one start vector or a matrix of start rows; all rows advance
     together. rng is an int seed >= 0 (ConfigError otherwise); row i has its
@@ -135,21 +135,17 @@ def gibbs_chain(rbm: Rbm, v0, rng, steps: int | None = None) -> tuple[np.ndarray
     conditionals P(h=1 | .) at the start and end states.
     """
     v0 = _check_binary(v0, rbm.v_dim, "start state")
-    if steps is None:
-        steps = rbm.cd_steps
-    if steps < 0:
-        raise ConfigError(f"steps must be >= 0, got {steps}")
     rows = np.atleast_2d(v0)
     h_dim = rbm.h_dim
     master = _master_seed(rng)
-    u = np.empty((rows.shape[0], steps, h_dim + rbm.v_dim))
+    u = np.empty((rows.shape[0], rbm.cd_steps, h_dim + rbm.v_dim))
     for i in range(rows.shape[0]):
         np.random.default_rng(master ^ i).random(out=u[i])
     w_t = rbm.w.T
     p_h_start = _sigmoid(rows @ w_t + rbm.hid_bias)
     v = rows
     p_h = p_h_start
-    for step in range(steps):
+    for step in range(rbm.cd_steps):
         h = (u[:, step, :h_dim] < p_h).astype(np.float64)
         p_v = _sigmoid(h @ rbm.w + rbm.vis_bias)
         v = (u[:, step, h_dim:] < p_v).astype(np.float64)
@@ -208,20 +204,19 @@ def _master_seed(rng) -> int:
 
 
 def cd_gradients_with_stats(rbm: Rbm, batch, lam: float, mu: float,
-                            decorrelation_mode: str = "batch", rng=0,
-                            steps: int | None = None) -> tuple[RbmGradients, np.ndarray]:
+                            decorrelation_mode: str = "batch",
+                            rng=0) -> tuple[RbmGradients, np.ndarray]:
     """CD-r estimate of the training gradient, plus each row's chain end.
 
     The likelihood part is the negative-phase/positive-phase difference
     summed over the batch, oriented so that subtracting alpha * grad raises
     data likelihood. All rows' chains run as one gibbs_chain call; each row
     keeps an independent stream seeded with master_seed XOR row_index, so
-    results do not depend on batching or scheduling. steps=0 pins the chain
-    end to the data (a test hook: the likelihood part cancels exactly).
+    results do not depend on batching or scheduling. r is rbm.cd_steps.
     """
     _check_penalties(lam, mu, decorrelation_mode)
     batch = _check_binary(np.atleast_2d(batch), rbm.v_dim, "batch")
-    v_end, chain = gibbs_chain(rbm, batch, rng, steps)
+    v_end, chain = gibbs_chain(rbm, batch, rng)
     p_h0, p_hr = chain.p_h_start, chain.p_h_end
     d_w = p_hr.T @ v_end - p_h0.T @ batch
     d_a = (v_end - batch).sum(axis=0)
@@ -232,10 +227,9 @@ def cd_gradients_with_stats(rbm: Rbm, batch, lam: float, mu: float,
 
 
 def cd_gradients(rbm: Rbm, batch, lam: float, mu: float,
-                 decorrelation_mode: str = "batch", rng=0,
-                 steps: int | None = None) -> RbmGradients:
-    grads, _ = cd_gradients_with_stats(rbm, batch, lam, mu, decorrelation_mode,
-                                       rng, steps)
+                 decorrelation_mode: str = "batch", rng=0) -> RbmGradients:
+    """cd_gradients_with_stats without the chain ends."""
+    grads, _ = cd_gradients_with_stats(rbm, batch, lam, mu, decorrelation_mode, rng)
     return grads
 
 

@@ -20,16 +20,17 @@ of exact distances gives. A query whose squared norm, plus the largest row's,
 passes a quarter of the float64 maximum, where the Gram form could overflow,
 takes every row as a candidate and goes through the same re-check.
 
-Precision-recall curves sweep the Hamming radius 0..k over a Q x N bool
-relevance matrix on index positions (precision_recall builds it from id
-sets). At each radius a query's precision is relevant-retrieved / retrieved,
-or 1.0 when nothing was retrieved (vacuous precision, so curves start
-sensibly near recall 0); the reported curve keeps the first point for each
-distinct mean recall. Reported AUC is the trapezoid over those points,
-anchored at recall 0 with the first point's precision. The counts behind
-each point are taken for a block of queries at once: one Hamming scan gives
-the block's distances, and one bincount over per-query bins counts the
-retrieved and relevant-retrieved positions at every distance.
+A precision-recall curve is a pr_table: one row of mean recall, precision
+and retrieved count per Hamming radius 0..k, over a Q x N bool relevance
+matrix on index positions (precision_recall builds it from id sets). At
+each radius a query's precision is relevant-retrieved / retrieved, or 1.0
+when nothing was retrieved (vacuous precision, so curves start sensibly
+near recall 0). auc is the trapezoid over the first row of each distinct
+mean recall, anchored at recall 0 with the first row's precision. The
+counts behind each row are taken for a block of queries at once: one
+Hamming scan gives the block's distances, and one bincount over per-query
+bins counts the retrieved and relevant-retrieved positions at every
+distance.
 """
 from __future__ import annotations
 
@@ -265,24 +266,6 @@ class PrPoint:
     mean_retrieved: float
 
 
-@dataclass(frozen=True)
-class PRCurve:
-    """Mean precision at each distinct mean recall, recall strictly increasing."""
-
-    points: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        pts = tuple((float(r), float(p)) for r, p in self.points)
-        last = -1.0
-        for r, p in pts:
-            if not (0.0 <= r <= 1.0 and 0.0 <= p <= 1.0):
-                raise DataError(f"recall/precision must lie in [0, 1], got ({r}, {p})")
-            if r <= last:
-                raise DataError("recall must be strictly increasing along the curve")
-            last = r
-        object.__setattr__(self, "points", pts)
-
-
 def pr_table(index: HammingIndex, query_words, relevant, exclude=None) -> list[PrPoint]:
     """Mean precision/recall/retrieved per radius 0..k over all queries.
 
@@ -346,18 +329,9 @@ def pr_table(index: HammingIndex, query_words, relevant, exclude=None) -> list[P
     return rows
 
 
-def curve_from_table(table: list[PrPoint]) -> PRCurve:
-    """PR curve of a pr_table, one point per distinct mean recall."""
-    points = []
-    for row in table:
-        if not points or row.recall > points[-1][0]:
-            points.append((row.recall, row.precision))
-    return PRCurve(tuple(points))
-
-
-def precision_recall(index: HammingIndex, queries, truth) -> PRCurve:
-    """PR curve of HashCode queries, each with a set of relevant ids held by
-    the index: one point per distinct mean recall."""
+def precision_recall(index: HammingIndex, queries, truth) -> list[PrPoint]:
+    """pr_table of HashCode queries, each with a set of relevant ids held by
+    the index."""
     queries = list(queries)
     if len(truth) != len(queries):
         raise ShapeError("need exactly one relevance set per query")
@@ -367,17 +341,18 @@ def precision_recall(index: HammingIndex, queries, truth) -> PRCurve:
             raise DataError(f"query {qi} names a relevant id the index does not hold")
         relevant[qi] = np.isin(index.ids, list(ids))
     words = np.array([_query_words(index, q) for q in queries], dtype=np.uint64)
-    return curve_from_table(pr_table(index, words, relevant))
+    return pr_table(index, words, relevant)
 
 
-def auc(curve: PRCurve) -> float:
-    """Trapezoidal area under the curve, anchored at recall 0."""
-    pts = list(curve.points)
-    if pts[0][0] > 0.0:
-        pts.insert(0, (0.0, pts[0][1]))
+def auc(table: list[PrPoint]) -> float:
+    """Trapezoidal area under a pr_table's curve: the first row of each
+    distinct mean recall, anchored at recall 0 with the first precision."""
+    r0, p0 = 0.0, table[0].precision
     area = 0.0
-    for (r0, p0), (r1, p1) in zip(pts, pts[1:]):
-        area += (r1 - r0) * (p0 + p1) / 2.0
+    for row in table:
+        if row.recall > r0:
+            area += (row.recall - r0) * (p0 + row.precision) / 2.0
+            r0, p0 = row.recall, row.precision
     return area
 
 

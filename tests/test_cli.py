@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import hdhash
+from hdhash import pipeline
 from hdhash.cli import (
     cmd_encode,
     cmd_eval_pr,
@@ -45,6 +46,15 @@ def write_features_csv(path, rows=10, dim=4, seed=0, labels=None):
         lines.append(",".join(cells))
     path.write_text("\n".join(lines) + "\n")
     return values
+
+
+def run_cli_warnings_as_errors(*args):
+    """Run `python -W error -m hdhash.cli args` on the tested package."""
+    path = [str(Path(hdhash.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "hdhash.cli"] + [str(a) for a in args],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
 
 
 @pytest.fixture
@@ -126,6 +136,41 @@ class TestTrainCommand:
                             str(tmp_path / "m.hdhm"))
         assert outcome.exit_code == 1
         assert key in outcome.message
+
+    @pytest.mark.parametrize("cells", [(0.0, 1e-308), (0.0, 5e-309, 1e-308)],
+                             ids=["endpoints", "midpoint"])
+    def test_too_narrow_column_exits_2(self, tmp_path, cells):
+        # A column's half-range below 1/finfo.max has no finite scale. Run
+        # under -W error, so a numpy warning fails the command too.
+        values = np.random.default_rng(27).uniform(-1, 1, (40, 4))
+        values[:, 2] = np.resize(cells, 40)
+        features_path = tmp_path / "f.csv"
+        np.savetxt(features_path, values, delimiter=",", fmt="%.17g")
+        write_config(tmp_path / "t.cfg")
+        model_path = tmp_path / "m.hdhm"
+        result = run_cli_warnings_as_errors(
+            "train", "--config", tmp_path / "t.cfg", "--features", features_path,
+            "--out", model_path)
+        assert result.returncode == 2, result.stderr
+        assert result.stdout.splitlines()[-1] == "status=error exit=2"
+        assert result.stderr.startswith("hdhash: feature column 3 ")
+        assert "Warning" not in result.stderr
+        assert not model_path.exists()
+
+    def test_memory_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        def too_big(config, data):
+            raise MemoryError("Unable to allocate 29.1 TiB for an array")
+
+        monkeypatch.setattr(pipeline, "train", too_big)
+        write_config(tmp_path / "t.cfg")
+        write_features_csv(tmp_path / "f.csv")
+        assert main(["train", "--config", str(tmp_path / "t.cfg"), "--features",
+                     str(tmp_path / "f.csv"), "--out", str(tmp_path / "m.hdhm")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1] == "status=error exit=2"
+        assert captured.err == ("hdhash: not enough memory: Unable to allocate "
+                                "29.1 TiB for an array\n")
+        assert not (tmp_path / "m.hdhm").exists()
 
     def test_missing_config_file(self, tmp_path):
         features_path = tmp_path / "f.csv"
@@ -427,13 +472,9 @@ class TestEvalPrCommand:
                                                .astype(np.uint8)), 8)
         features_path = tmp_path / "f.csv"
         np.savetxt(features_path, 1e160 * gen.normal(size=(30, 3)), delimiter=",")
-        path = [str(Path(hdhash.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-        result = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "hdhash.cli", "eval-pr", "--codes",
-             str(codes_path), "--features", str(features_path), "--mode", "euclidean",
-             "--gt-n", "5", "--out", str(tmp_path / "pr.csv")],
-            capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
+        result = run_cli_warnings_as_errors(
+            "eval-pr", "--codes", codes_path, "--features", features_path,
+            "--mode", "euclidean", "--gt-n", "5", "--out", tmp_path / "pr.csv")
         assert result.returncode == 0, result.stderr
         assert result.stderr == ""
 

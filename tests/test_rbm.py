@@ -121,19 +121,19 @@ class TestGibbsChain:
             ones += int(np.all(v == 1.0))
         assert ones >= 990
 
-    @given(st.integers(1, 9), st.integers(1, 7), st.integers(1, 7), st.integers(0, 4),
+    @given(st.integers(1, 9), st.integers(1, 7), st.integers(1, 7), st.integers(1, 4),
            st.integers(0, 2 ** 40), st.integers(0, 2 ** 16))
     @settings(max_examples=60, deadline=None)
     def test_matrix_equals_rows_with_xor_seeds(self, n, v_dim, h_dim, steps, master,
                                                model_seed):
         # row i of one batched call is the single-row chain seeded master ^ i
         gen = np.random.default_rng(model_seed)
-        m = random_rbm(v_dim, h_dim, gen, scale=1.5)
+        m = random_rbm(v_dim, h_dim, gen, scale=1.5, cd_steps=steps)
         batch = random_binary(gen, (n, v_dim))
-        v, stats = gibbs_chain(m, batch, master, steps=steps)
+        v, stats = gibbs_chain(m, batch, master)
         assert v.shape == batch.shape and stats.p_h_end.shape == (n, h_dim)
         for i in range(n):
-            v_i, stats_i = gibbs_chain(m, batch[i], master ^ i, steps=steps)
+            v_i, stats_i = gibbs_chain(m, batch[i], master ^ i)
             np.testing.assert_array_equal(v[i], v_i)
             np.testing.assert_allclose(stats.p_h_start[i], stats_i.p_h_start,
                                        rtol=1e-14, atol=0)
@@ -151,14 +151,6 @@ class TestGibbsChain:
         m = Rbm(np.zeros((2, 2)), np.zeros(2), np.zeros(2))
         with pytest.raises(ConfigError):
             gibbs_chain(m, np.zeros(2), seed)
-
-    def test_zero_steps_returns_start(self):
-        gen = np.random.default_rng(2)
-        m = random_rbm(4, 3, gen)
-        v0 = random_binary(gen, 4)
-        v, stats = gibbs_chain(m, v0, 5, steps=0)
-        np.testing.assert_array_equal(v, v0)
-        np.testing.assert_array_equal(stats.p_h_start, stats.p_h_end)
 
 
 class TestSurrogate:
@@ -243,13 +235,17 @@ class TestPenaltyGradients:
 
 class TestCdGradients:
     def test_zero_steps_zero_penalty_cancels(self):
+        # With no penalty, the gradient is exactly the chain's CD statistics.
         gen = np.random.default_rng(7)
-        m = random_rbm(4, 3, gen)
+        m = random_rbm(4, 3, gen, cd_steps=2)
         batch = random_binary(gen, (5, 4))
-        g = cd_gradients(m, batch, 0.0, 0.0, rng=0, steps=0)
-        np.testing.assert_array_equal(g.d_w, 0.0)
-        np.testing.assert_array_equal(g.d_vis_bias, 0.0)
-        np.testing.assert_array_equal(g.d_hid_bias, 0.0)
+        g = cd_gradients(m, batch, 0.0, 0.0, rng=0)
+        v_end, stats = gibbs_chain(m, batch, 0)
+        np.testing.assert_array_equal(
+            g.d_w, stats.p_h_end.T @ v_end - stats.p_h_start.T @ batch)
+        np.testing.assert_array_equal(g.d_vis_bias, (v_end - batch).sum(axis=0))
+        np.testing.assert_array_equal(g.d_hid_bias,
+                                      (stats.p_h_end - stats.p_h_start).sum(axis=0))
 
     def test_deterministic_per_seed(self):
         gen = np.random.default_rng(8)

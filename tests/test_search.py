@@ -19,7 +19,7 @@ from hdhash.errors import (
 from hdhash.features import FeatureMatrix
 from hdhash.search import (
     HammingIndex,
-    PRCurve,
+    PrPoint,
     auc,
     ground_truth,
     pr_table,
@@ -543,23 +543,38 @@ class TestPrecisionRecall:
         index, _ = random_index(gen, 30, 8)
         queries = [code_of((gen.random(8) < 0.5).astype(np.uint8)) for _ in range(3)]
         truth = [set(gen.choice(30, size=4, replace=False).tolist()) for _ in range(3)]
-        curve = precision_recall(index, queries, truth)
-        recalls = [r for r, _ in curve.points]
-        assert all(a < b for a, b in zip(recalls, recalls[1:]))
+        table = precision_recall(index, queries, truth)
+        assert [row.radius for row in table] == list(range(9))
+        recalls = [row.recall for row in table]
+        assert all(0.0 <= r <= 1.0 for r in recalls)
+        assert all(a <= b for a, b in zip(recalls, recalls[1:]))
 
-    def test_curve_validation(self):
-        with pytest.raises(DataError):
-            PRCurve(((0.5, 0.5), (0.5, 0.4)))
-        with pytest.raises(DataError):
-            PRCurve(((0.0, 1.5),))
+
+def pr_rows(*points):
+    """A pr_table of (recall, precision) rows at radii 0, 1, ..."""
+    return [PrPoint(radius, r, p, 0.0) for radius, (r, p) in enumerate(points)]
 
 
 class TestAuc:
     def test_perfect_single_point(self):
-        assert auc(PRCurve(((1.0, 1.0),))) == pytest.approx(1.0)
+        assert auc(pr_rows((1.0, 1.0))) == pytest.approx(1.0)
 
     def test_rectangle(self):
-        assert auc(PRCurve(((0.0, 1.0), (1.0, 0.5)))) == pytest.approx(0.75)
+        assert auc(pr_rows((0.0, 1.0), (1.0, 0.5))) == pytest.approx(0.75)
+
+    def test_repeated_recall_keeps_first_precision(self):
+        # The rows at recall 0.5 after the first add nothing, and the next
+        # trapezoid starts from the first one's precision, 0.75.
+        table = pr_rows((0.0, 1.0), (0.5, 0.75), (0.5, 0.25), (0.5, 0.0), (1.0, 0.25))
+        assert auc(table) == 0.5 * (1.0 + 0.75) / 2 + 0.5 * (0.75 + 0.25) / 2
+
+    def test_positive_first_recall_anchored_at_zero(self):
+        # (0.5, 0.5) first: the curve starts at (0, 0.5).
+        assert auc(pr_rows((0.5, 0.5), (1.0, 0.25))) == 0.5 * 0.5 + 0.5 * 0.75 / 2
+
+    def test_zero_first_recall_adds_no_area(self):
+        assert auc(pr_rows((0.0, 0.25))) == 0.0
+        assert auc(pr_rows((0.0, 1.0), (0.0, 0.0), (1.0, 0.5))) == 0.75
 
 
 class TestCodesIo:
@@ -614,7 +629,6 @@ class TestCodesIo:
         assert not p.exists()
 
     def test_pr_csv(self, tmp_path):
-        from hdhash.search import PrPoint
         p = tmp_path / "pr.csv"
         write_pr_csv(p, [PrPoint(0, 0.0, 1.0, 0.0), PrPoint(1, 0.5, 0.75, 2.0)])
         lines = p.read_text().strip().splitlines()
