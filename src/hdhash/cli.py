@@ -144,6 +144,14 @@ def cmd_eval_pr(codes_path, features_path, mode, gt_n, out_csv,
         if mode == "label" and data.labels is None:
             raise DataError("label ground truth requires labeled features "
                             "(declare --label-col last or use a labeled file)")
+        if mode == "label":
+            _, first, count = np.unique(data.labels, return_index=True, return_counts=True)
+            if (count == 1).any():
+                row = first[count == 1].min()
+                raise DataError(f"label {data.labels[row]} occurs only at row {row + 1}, "
+                                "so that query has no relevant row")
+        elif data.rows == 1:
+            raise DataError("euclidean ground truth needs a second row for the query at row 1")
         rows = np.arange(data.rows)
         relevant = search.ground_truth(data, rows, mode, gt_n)
         index = search.HammingIndex(words, n_bits, rows)

@@ -466,13 +466,15 @@ def load_model(path) -> Model:
         raise FormatError(f"{path}: model payload is not UTF-8 text") from None
 
     fields = {}
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line:
             continue
+        if "=" not in line:
+            raise FormatError(f"{path}: payload line {lineno} is not key=value")
         key, _, value = line.partition("=")
         if key in fields:
             raise FormatError(f"{path}: duplicate model field {key!r}")
-        fields[key] = value
+        fields[key] = (lineno, value)
     try:
         return _model_from_fields(fields, str(path))
     except ConfigError as exc:
@@ -482,10 +484,13 @@ def load_model(path) -> Model:
 
 
 def _model_from_fields(fields: dict, where: str) -> Model:
+    read = set()  # the keys of fields, key -> (payload line, value), that need took
+
     def need(key):
         if key not in fields:
             raise FormatError(f"{where}: missing model field {key!r}")
-        return fields[key]
+        read.add(key)
+        return fields[key][1]
 
     def vec(key, *shape):
         return _parse_vec(need(key), int(np.prod(shape)), key).reshape(shape)
@@ -517,4 +522,7 @@ def _model_from_fields(fields: dict, where: str) -> Model:
     )
     head = Rbm(vec("rbm.w", h_dim, v_dim), vec("rbm.vis_bias", v_dim),
                vec("rbm.hid_bias", h_dim), beta=config.beta, cd_steps=config.cd_steps)
+    for key, (lineno, _) in fields.items():
+        if key not in read:
+            raise FormatError(f"{where}: payload line {lineno}: unknown field {key!r}")
     return Model(SaeStack(layers), head, norm, config)

@@ -70,15 +70,6 @@ class RbmGradients:
     d_hid_bias: np.ndarray
 
 
-@dataclass(frozen=True)
-class GibbsStats:
-    """The conditionals P(h=1 | .) at the start and end states of one
-    gibbs_chain call (one row per chain when the chain ran on a matrix)."""
-
-    p_h_start: np.ndarray
-    p_h_end: np.ndarray
-
-
 def _check_binary(x, dim: int, what: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     rows = arr.reshape(1, -1) if arr.ndim == 1 else arr
@@ -123,7 +114,7 @@ def free_energy(rbm: Rbm, v) -> np.ndarray:
     return float(f[0]) if v.ndim == 1 else f
 
 
-def gibbs_chain(rbm: Rbm, v0, rng) -> tuple[np.ndarray, GibbsStats]:
+def gibbs_chain(rbm: Rbm, v0, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Alternate h ~ P(h|v), v ~ P(v|h) for rbm.cd_steps rounds.
 
     v0 is one start vector or a matrix of start rows; all rows advance
@@ -131,8 +122,9 @@ def gibbs_chain(rbm: Rbm, v0, rng) -> tuple[np.ndarray, GibbsStats]:
     own stream, default_rng(rng ^ i), so a row's chain does not depend on the
     other rows, and a single vector with seed s runs on default_rng(s). Each
     step draws h_dim uniforms for the hidden sample, then v_dim for the
-    visible one. Returns the final visible state, shaped like v0, and the
-    conditionals P(h=1 | .) at the start and end states.
+    visible one. Returns (v, p_h_start, p_h_end): the final visible state,
+    shaped like v0, and the conditionals P(h=1 | .) at the start and end
+    states (one row per chain when v0 is a matrix).
     """
     v0 = _check_binary(v0, rbm.v_dim, "start state")
     rows = np.atleast_2d(v0)
@@ -152,7 +144,7 @@ def gibbs_chain(rbm: Rbm, v0, rng) -> tuple[np.ndarray, GibbsStats]:
         p_h = _sigmoid(v @ w_t + rbm.hid_bias)
     if v0.ndim == 1:
         v, p_h_start, p_h = v[0], p_h_start[0], p_h[0]
-    return v, GibbsStats(p_h_start, p_h)
+    return v, p_h_start, p_h
 
 
 def _surrogate_tanh(rbm: Rbm, v: np.ndarray) -> np.ndarray:
@@ -216,8 +208,7 @@ def cd_gradients_with_stats(rbm: Rbm, batch, lam: float, mu: float,
     """
     _check_penalties(lam, mu, decorrelation_mode)
     batch = _check_binary(np.atleast_2d(batch), rbm.v_dim, "batch")
-    v_end, chain = gibbs_chain(rbm, batch, rng)
-    p_h0, p_hr = chain.p_h_start, chain.p_h_end
+    v_end, p_h0, p_hr = gibbs_chain(rbm, batch, rng)
     d_w = p_hr.T @ v_end - p_h0.T @ batch
     d_a = (v_end - batch).sum(axis=0)
     d_b = (p_hr - p_h0).sum(axis=0)

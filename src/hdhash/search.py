@@ -3,10 +3,11 @@
 Search is a linear scan over packed codes (XOR + popcount on 64-bit words),
 so results are exact, never approximate. All rankings break distance ties by
 ascending id, which makes every result deterministic and testable against a
-naive re-sort oracle. Top-k and Euclidean ground truth select rather than
-sort: a partition finds the k-th smallest distance, and only the candidates
-at or below it are ordered, by (distance, id), so a run of ties at the cut
-still goes to the lowest ids.
+naive re-sort oracle. topk, radius_search and pr_table scan through one
+helper, and one helper ranks the codes within a reach by (distance, id):
+radius_search ranks those within its radius, and topk is radius_search cut
+at the k-th smallest distance (a partition finds it) to its first k hits,
+so a run of ties at the cut still goes to the lowest ids.
 
 Euclidean ground truth filters before it selects. For a block of queries one
 matmul tile gives squared distances in Gram form, ||x||^2 + ||y||^2 - 2x.y,
@@ -113,21 +114,16 @@ def _query_words(index: HammingIndex, query: HashCode) -> np.ndarray:
     return query.words
 
 
-def _query_distances(index: HammingIndex, query_words: np.ndarray) -> np.ndarray:
-    return hamming_words(index.words, query_words[None, :])
+def _distances(index: HammingIndex, query_words: np.ndarray) -> np.ndarray:
+    """Distances of every code to one packed query (N) or to each of b (b x N)."""
+    return hamming_words(index.words, query_words[..., None, :])
 
 
-def _smallest(keys: np.ndarray, k: int, tiebreak: np.ndarray) -> np.ndarray:
-    """Positions of the k smallest keys, ordered by (key, tiebreak).
-
-    A partition finds the k-th smallest key; only the candidates at or below
-    it are sorted, so the whole run of ties at the cut competes on tiebreak.
-    """
-    k = min(k, len(keys))
-    cut = np.partition(keys, k - 1)[k - 1]
-    candidates = np.flatnonzero(keys <= cut)
-    order = np.lexsort((tiebreak[candidates], keys[candidates]))
-    return candidates[order[:k]]
+def _ranked(index: HammingIndex, dists, reach, limit=None) -> list[tuple[int, int]]:
+    """The codes within reach as (id, distance), by (distance, id); the first limit."""
+    hit = np.flatnonzero(dists <= reach)
+    order = hit[np.lexsort((index.ids[hit], dists[hit]))[:limit]]
+    return list(zip(index.ids[order].tolist(), dists[order].tolist()))
 
 
 def topk(index: HammingIndex, query: HashCode, k_results: int) -> list[tuple[int, int]]:
@@ -136,19 +132,16 @@ def topk(index: HammingIndex, query: HashCode, k_results: int) -> list[tuple[int
         raise ConfigError(f"k_results must be >= 1, got {k_results}")
     if index.size == 0:
         return []
-    dists = _query_distances(index, _query_words(index, query))
-    order = _smallest(dists, k_results, index.ids)
-    return [(int(index.ids[i]), int(dists[i])) for i in order]
+    dists = _distances(index, _query_words(index, query))
+    k = min(k_results, index.size)
+    return _ranked(index, dists, np.partition(dists, k - 1)[k - 1], k)
 
 
 def radius_search(index: HammingIndex, query: HashCode, radius: int) -> list[tuple[int, int]]:
     """All codes within the given Hamming radius, sorted by (distance, id)."""
     if not 0 <= radius <= index.n_bits:
         raise ConfigError(f"radius must be in 0..{index.n_bits}, got {radius}")
-    dists = _query_distances(index, _query_words(index, query))
-    hit = np.flatnonzero(dists <= radius)
-    order = hit[np.lexsort((index.ids[hit], dists[hit]))]
-    return [(int(index.ids[i]), int(dists[i])) for i in order]
+    return _ranked(index, _distances(index, _query_words(index, query)), radius)
 
 
 def ground_truth(data: FeatureMatrix, query_rows, mode: str, n_gt: int = 0) -> np.ndarray:
@@ -305,7 +298,7 @@ def pr_table(index: HammingIndex, query_words, relevant, exclude=None) -> list[P
     n_rel = np.zeros((n_queries, k + 1), dtype=np.int64)
     for start in range(0, n_queries, block):
         stop = min(start + block, n_queries)
-        dists = hamming_words(index.words[None], query_words[start:stop, None])
+        dists = _distances(index, query_words[start:stop])
         if exclude is not None:
             dists[np.arange(stop - start), exclude[start:stop]] = k + 1
         dists += relevant[start:stop] * (k + 2)

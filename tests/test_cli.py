@@ -277,6 +277,23 @@ class TestMalformedModel:
         assert "ASCII numeral" in outcome.message
 
 
+    @pytest.mark.parametrize("extra", [b"junk=1", b"garbage line without equals",
+                                       b"sae.1.enc_w=1 2 3"],
+                             ids=["unknown-key", "no-equals", "layer-past-the-stack"])
+    def test_unread_payload_line_exits_2(self, trained, tmp_path, extra):
+        # The model has one layer, so no field names sae.1.
+        _, features_path, model_path = trained
+        payload = model_path.read_bytes()[12:]
+        rewrite_payload(model_path, payload, payload + extra + b"\n")
+        lineno = payload.count(b"\n") + 1
+        with pytest.raises(FormatError, match=rf"payload line {lineno}\b"):
+            load_model(model_path)
+        outcome = cmd_encode(str(model_path), str(features_path),
+                             str(tmp_path / "c.hdhc"))
+        assert outcome.exit_code == 2
+        assert not (tmp_path / "c.hdhc").exists()
+
+
 class TestNotUtf8:
     def test_features_csv_exits_2(self, trained, tmp_path):
         config_path, features_path, _ = trained
@@ -451,6 +468,30 @@ class TestEvalPrCommand:
         outcome = cmd_eval_pr(str(codes_path), str(features_path), "label", 0,
                               str(tmp_path / "pr.csv"))
         assert outcome.exit_code == 2
+
+    def test_label_held_by_one_row_exits_2_naming_it(self, tmp_path):
+        gen = np.random.default_rng(24)
+        codes_path = tmp_path / "c.hdhc"
+        write_codes_file(codes_path, pack_bits((gen.random((30, 8)) < 0.5)
+                                               .astype(np.uint8)), 8)
+        features_path = tmp_path / "f.csv"
+        write_features_csv(features_path, rows=30, dim=3, labels=[0] * 29 + [1])
+        outcome = cmd_eval_pr(str(codes_path), str(features_path), "label", 0,
+                              str(tmp_path / "pr.csv"), label_col="last")
+        assert outcome.exit_code == 2
+        assert "label 1 occurs only at row 30" in outcome.message
+        assert not (tmp_path / "pr.csv").exists()
+
+    def test_euclidean_single_row_exits_2_naming_it(self, tmp_path):
+        codes_path = tmp_path / "c.hdhc"
+        write_codes_file(codes_path, pack_bits(np.ones((1, 8), dtype=np.uint8)), 8)
+        features_path = tmp_path / "f.csv"
+        write_features_csv(features_path, rows=1, dim=3)
+        outcome = cmd_eval_pr(str(codes_path), str(features_path), "euclidean", 3,
+                              str(tmp_path / "pr.csv"))
+        assert outcome.exit_code == 2
+        assert "row 1" in outcome.message
+        assert not (tmp_path / "pr.csv").exists()
 
     def test_euclidean_mode(self, tmp_path):
         gen = np.random.default_rng(22)

@@ -201,19 +201,25 @@ class TestTieHeavySearch:
     repeat a few distinct ones, so long runs of equal distances straddle
     every cut; widths past 255 bits would overflow a uint8 accumulator."""
 
+    @staticmethod
+    def tie_heavy(gen, n, n_bits, distinct):
+        """n copies of a few distinct codes under permuted ids, and a query:
+        a copy of a code, its complement (distance n_bits to every copy) or
+        a random code. Returns (bits, ids, index, query bits)."""
+        base = (gen.random((distinct, n_bits)) < 0.5).astype(np.uint8)
+        bits = base[gen.integers(0, distinct, size=n)]
+        ids = gen.permutation(n * 5)[:n]
+        index = HammingIndex(pack_bits(bits), n_bits, ids)
+        qbits = [base[0], 1 - base[0],
+                 (gen.random(n_bits) < 0.5).astype(np.uint8)][int(gen.integers(0, 3))]
+        return bits, ids, index, qbits
+
     @given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=300),
            st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=80, deadline=None)
     def test_matches_naive_oracles(self, n, n_bits, distinct, seed):
         gen = np.random.default_rng(seed)
-        base = (gen.random((distinct, n_bits)) < 0.5).astype(np.uint8)
-        bits = base[gen.integers(0, distinct, size=n)]
-        ids = gen.permutation(n * 5)[:n]
-        index = HammingIndex(pack_bits(bits), n_bits, ids)
-        # A copy of a code, its complement (distance n_bits to every copy)
-        # or a random code.
-        qbits = [base[0], 1 - base[0],
-                 (gen.random(n_bits) < 0.5).astype(np.uint8)][int(gen.integers(0, 3))]
+        bits, ids, index, qbits = self.tie_heavy(gen, n, n_bits, distinct)
         query = code_of(qbits)
         codes_bits, qlist = [b.tolist() for b in bits], qbits.tolist()
         for k in {1, int(gen.integers(1, n + 4)), n, n + 3}:
@@ -221,6 +227,20 @@ class TestTieHeavySearch:
         for radius in {0, int(gen.integers(0, n_bits + 1)), n_bits}:
             assert radius_search(index, query, radius) == radius_direct(
                 codes_bits, ids, qlist, radius)
+
+    @given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=300),
+           st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=80, deadline=None)
+    def test_topk_is_radius_search_cut_at_kth_distance(self, n, n_bits, distinct, seed):
+        gen = np.random.default_rng(seed)
+        bits, _, index, qbits = self.tie_heavy(gen, n, n_bits, distinct)
+        query = code_of(qbits)
+        ordered = np.sort((bits != qbits).sum(axis=1))
+        for k in {1, int(gen.integers(1, n + 1)), n}:
+            hits = topk(index, query, k)
+            assert hits == radius_search(index, query, int(ordered[k - 1]))[:k]
+            assert all(type(hit) is tuple and len(hit) == 2
+                       and type(hit[0]) is int and type(hit[1]) is int for hit in hits)
 
 
 def positions(*rows, n):
