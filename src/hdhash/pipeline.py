@@ -33,6 +33,7 @@ from .errors import (
     ConfigError,
     DataError,
     DivergenceError,
+    DomainError,
     FormatError,
     TruncationError,
     VersionError,
@@ -73,6 +74,15 @@ class TrainingConfig:
     max_repeats_per_iter: int = 3
 
     def __post_init__(self):
+        for _, attr, parse, _ in _CONFIG_KEYS:
+            if parse in _ARG_KINDS:
+                types, what = _ARG_KINDS[parse]
+                value = getattr(self, attr)
+                for v in value if parse is _DIMS[0] else (value,):
+                    if isinstance(v, bool) or not isinstance(v, types):
+                        raise ConfigError(f"{attr}: {v!r} is not {what}")
+                    if parse is ascii_float and not np.isfinite(v):
+                        raise ConfigError(f"{attr} must be finite, got {v}")
         dims = tuple(int(d) for d in self.layer_dims)
         object.__setattr__(self, "layer_dims", dims)
         if len(dims) < 2 or any(d < 1 for d in dims):
@@ -83,9 +93,6 @@ class TrainingConfig:
             raise ConfigError("epochs and batch_size must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        for name in ("lam", "mu", "beta", "alpha"):
-            if not np.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lam < 0 or self.mu < 0:
             raise ConfigError("penalty weights lam/mu must be >= 0")
         if self.beta < 1:
@@ -120,6 +127,12 @@ _EPS = (lambda text: None if text == "auto" else ascii_float(text),
         lambda val: "auto" if val is None else _fmt(val))
 _DIMS = (lambda text: tuple(ascii_int(p) for p in text.split(",")),
          lambda dims: ",".join(str(d) for d in dims))
+# What a TrainingConfig argument of each parsed kind must be. Config files
+# parse to these already; a library caller could pass 2.5 for a count.
+_INTEGER = ((int, np.integer), "an integer")
+_REAL = (int, float, np.integer, np.floating)
+_ARG_KINDS = {ascii_int: _INTEGER, _DIMS[0]: _INTEGER, ascii_float: (_REAL, "a real number"),
+              _EPS[0]: ((*_REAL, type(None)), "a real number or None (auto)")}
 
 # (config-file key, constructor attribute, parser, printer). File keys are
 # the public contract; a parser's ValueError is a bad value for its key.
@@ -202,16 +215,17 @@ class Model:
     config: TrainingConfig
 
     def __post_init__(self):
-        if self.sae.dims[-1] != self.rbm.v_dim:
-            raise ConfigError(
-                f"stack output {self.sae.dims[-1]} != RBM visible {self.rbm.v_dim}"
-            )
-        if self.rbm.h_dim != self.config.code_bits:
-            raise ConfigError(
-                f"RBM hidden {self.rbm.h_dim} != code_bits {self.config.code_bits}"
-            )
-        if (self.rbm.beta, self.rbm.cd_steps) != (self.config.beta, self.config.cd_steps):
-            raise ConfigError("RBM beta and cd_steps must be the config's")
+        # save_model echoes the config, and load_model refuses a model whose
+        # shapes or RBM settings differ from that echo.
+        c = self.config
+        for what, got, want in (
+                ("stack dims", tuple(self.sae.dims), c.layer_dims),
+                ("normalization width", self.norm_stats.shift.shape[0], c.layer_dims[0]),
+                ("RBM weight shape", self.rbm.w.shape, (c.code_bits, c.layer_dims[-1])),
+                ("RBM (beta, cd_steps)", (self.rbm.beta, self.rbm.cd_steps),
+                 (c.beta, c.cd_steps))):
+            if got != want:
+                raise ConfigError(f"{what} {got} != the config's {want}")
 
     @property
     def code_bits(self) -> int:
@@ -320,13 +334,14 @@ def _pass(layers, head, data, batches, config, t, rep, sae=True, rbm=True):
     """
     r_total = 0.0
     j_total = 0.0
+    stack = None if sae else SaeStack(tuple(layers))  # the layers stay fixed
     for m, idx in enumerate(batches):
         x = data.values[idx]
         if sae:
             r_b, top = _sae_batch_step(layers, x, config, t)
             r_total += r_b
         else:
-            top = sae_ops.encode_stack(SaeStack(tuple(layers)), x)
+            top = sae_ops.encode_stack(stack, x)
         if rbm:
             head, j_b = _rbm_batch_step(head, sae_ops.binarize_pm(top), config, t,
                                         _derive_seed(config.seed, t, rep, m))
@@ -387,12 +402,18 @@ def train(config: TrainingConfig, data: FeatureMatrix) -> tuple[Model, list[Iter
 
 
 def encode_matrix(model: Model, values) -> np.ndarray:
-    """Hash many rows at once; returns packed code words, one row per input."""
+    """Hash many rows at once; returns packed code words, one row per input.
+    Raises DomainError naming (1-based) the first row that normalization
+    overflow, far outside the training range, leaves non-finite."""
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    normed = model.norm_stats.apply(values)
-    top = sae_ops.encode_stack(model.sae, normed)
-    bits = rbm_ops.hash_bits(model.rbm, sae_ops.binarize_pm(top))
-    return pack_bits(bits)
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = sae_ops.encode_stack(model.sae, model.norm_stats.apply(values))
+    finite = np.isfinite(top)
+    if not finite.all():
+        raise DomainError(f"row {np.argmin(finite.all(axis=1)) + 1} is too far "
+                          "outside the training range to encode")
+    # binarize_pm's rule, without its second finiteness scan.
+    return pack_bits(rbm_ops.hash_bits(model.rbm, top >= 0))
 
 
 def _model_payload(model: Model) -> str:

@@ -19,6 +19,10 @@ same penalty, through the same two functions, to its smoothed hidden map.
 Gradients are exact derivatives of this objective (validated against central
 finite differences in the test suite). All four parameter blocks, encoder and
 decoder, are trained; they are not tied.
+
+The training kernels (objective, gradients, sgd_step) trust their arguments:
+TrainingConfig checks lam, mu, the decorrelation mode and alpha, and the
+SaeLayer and SaeStack constructors check the shapes.
 """
 from __future__ import annotations
 
@@ -26,16 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import DomainError, ShapeError
 
 DECORRELATION_MODES = ("batch", "per_sample")
-
-
-def _check_penalties(lam: float, mu: float, decorrelation_mode: str) -> None:
-    if lam < 0 or mu < 0:
-        raise ConfigError(f"penalty weights must be >= 0, got lam={lam}, mu={mu}")
-    if decorrelation_mode not in DECORRELATION_MODES:
-        raise ConfigError(f"unknown decorrelation_mode {decorrelation_mode!r}")
 
 
 def _add_penalty(value, v, lam: float, mu: float, decorrelation_mode: str):
@@ -131,24 +128,18 @@ class SaeStack:
         return [self.layers[0].in_dim] + [la.out_dim for la in self.layers]
 
 
-def _as_rows(v, dim: int, what: str) -> tuple[np.ndarray, bool]:
-    v = np.asarray(v, dtype=np.float64)
-    single = v.ndim == 1
-    rows = v.reshape(1, -1) if single else v
-    if rows.ndim != 2 or rows.shape[1] != dim:
-        raise ShapeError(f"{what} must have width {dim}, got shape {v.shape}")
-    return rows, single
-
-
 def _encode(layer: SaeLayer, rows: np.ndarray) -> np.ndarray:
     return np.tanh(rows @ layer.enc_w.T + layer.enc_b)
 
 
 def forward(layer: SaeLayer, v_prev) -> np.ndarray:
     """Encoder pass tanh(enc_w @ v + enc_b); accepts a vector or row matrix."""
-    rows, single = _as_rows(v_prev, layer.in_dim, "input")
+    v = np.asarray(v_prev, dtype=np.float64)
+    rows = v.reshape(1, -1) if v.ndim == 1 else v
+    if rows.ndim != 2 or rows.shape[1] != layer.in_dim:
+        raise ShapeError(f"input must have width {layer.in_dim}, got shape {v.shape}")
     out = _encode(layer, rows)
-    return out[0] if single else out
+    return out[0] if v.ndim == 1 else out
 
 
 def _passes(layer: SaeLayer, batch: np.ndarray):
@@ -164,8 +155,7 @@ def objective(layer: SaeLayer, batch, lam: float, mu: float,
     With return_output, returns (R, v): v is the layer output the objective
     was evaluated on, equal to forward(layer, batch) bit for bit.
     """
-    _check_penalties(lam, mu, decorrelation_mode)
-    batch, _ = _as_rows(np.atleast_2d(batch), layer.in_dim, "batch")
+    batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     v, recon = _passes(layer, batch)
     r = _add_penalty(0.5 * np.sum((recon - batch) ** 2), v, lam, mu,
                      decorrelation_mode)
@@ -175,8 +165,7 @@ def objective(layer: SaeLayer, batch, lam: float, mu: float,
 def gradients(layer: SaeLayer, batch, lam: float, mu: float,
               decorrelation_mode: str = "batch") -> SaeGradients:
     """Exact gradients of objective() for all four parameter blocks."""
-    _check_penalties(lam, mu, decorrelation_mode)
-    batch, _ = _as_rows(np.atleast_2d(batch), layer.in_dim, "batch")
+    batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     v, recon = _passes(layer, batch)
 
     delta_dec = (recon - batch) * (1.0 - recon ** 2)
@@ -192,8 +181,6 @@ def gradients(layer: SaeLayer, batch, lam: float, mu: float,
 
 def sgd_step(layer: SaeLayer, grads: SaeGradients, alpha: float) -> SaeLayer:
     """One gradient-descent update p := p - alpha * grad on every block."""
-    if alpha <= 0:
-        raise ConfigError(f"learning rate must be > 0, got {alpha}")
     return SaeLayer(
         layer.enc_w - alpha * grads.d_enc_w,
         layer.enc_b - alpha * grads.d_enc_b,
@@ -214,5 +201,5 @@ def binarize_pm(v) -> np.ndarray:
     """Threshold at zero: bit 1 for v >= 0, else 0 (ties go to 1)."""
     v = np.asarray(v, dtype=np.float64)
     if not np.all(np.isfinite(v)):
-        raise ShapeError("cannot binarize non-finite values")
+        raise DomainError("cannot binarize non-finite values")
     return (v >= 0).astype(np.uint8)

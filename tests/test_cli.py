@@ -218,6 +218,29 @@ class TestEncodeCommand:
         assert outcome.exit_code == 2
         assert "at row 8, column 3" in outcome.message
 
+    def test_row_far_outside_training_range_exits_2_naming_it(self, tmp_path):
+        # A constant column at -1e308 scales by 0; 1e308 there overflows
+        # (x - shift) to inf, and inf * 0 is NaN. Run under -W error, so a
+        # numpy warning fails the command too.
+        values = np.random.default_rng(31).uniform(-1, 1, (10, 4))
+        values[:, 0] = -1e308
+        np.savetxt(tmp_path / "train.csv", values, delimiter=",", fmt="%.17g")
+        write_config(tmp_path / "t.cfg")
+        model_path = tmp_path / "m.hdhm"
+        assert cmd_train(str(tmp_path / "t.cfg"), str(tmp_path / "train.csv"),
+                         str(model_path)).exit_code == 0
+        values[1, 0] = 1e308
+        np.savetxt(tmp_path / "db.csv", values, delimiter=",", fmt="%.17g")
+        codes_path = tmp_path / "c.hdhc"
+        result = run_cli_warnings_as_errors(
+            "encode", "--model", model_path, "--features", tmp_path / "db.csv",
+            "--out", codes_path)
+        assert result.returncode == 2, result.stderr
+        assert result.stdout.splitlines()[-1] == "status=error exit=2"
+        assert result.stderr == ("hdhash: row 2 is too far outside the training "
+                                 "range to encode\n")
+        assert not codes_path.exists()
+
     def test_packed_binary_features(self, trained, tmp_path):
         _, features_path, model_path = trained
         rng = np.random.default_rng(4)

@@ -15,7 +15,7 @@ from hdhash.errors import (
     VersionError,
 )
 from hdhash.codes import HashCode, pack_bits
-from hdhash.features import FeatureMatrix, normalize
+from hdhash.features import FeatureMatrix, NormStats, normalize
 from hdhash.rbm import Rbm
 from hdhash.pipeline import (
     Model,
@@ -59,6 +59,32 @@ class TestConfig:
             tiny_config(decorrelation_mode="nope")
         with pytest.raises(ConfigError):
             tiny_config(eps_sae=-1.0)
+        with pytest.raises(ConfigError):
+            tiny_config(lam=-0.1)
+        with pytest.raises(ConfigError):
+            tiny_config(mu=-1.0)
+        with pytest.raises(ConfigError):
+            tiny_config(seed=-1)
+        with pytest.raises(ConfigError):
+            tiny_config(beta=0.5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("layer_dims", (4.7, 3)), ("layer_dims", (4, True)),
+        ("max_repeats_per_iter", 1.5), ("epochs", 2.5), ("batch_size", 4.0),
+        ("code_bits", 4.0), ("seed", 1.5), ("cd_steps", 1.5), ("outer_iters", 2.5),
+        ("seed", np.float64(1.0)), ("lam", "0.1"), ("mu", None), ("beta", "10"),
+        ("alpha", [0.01]), ("eps_sae", "auto"), ("eps_rbm", "1e-3"),
+    ])
+    def test_wrong_kind_rejected_naming_field(self, field, value):
+        # A count is an integer, never rounded ((4.7, 3) is not (4, 3)), and a
+        # weight a number; either way the error names the field.
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            tiny_config(**{field: value})
+
+    def test_numpy_scalars_accepted(self):
+        config = tiny_config(layer_dims=(np.int64(4), 3), code_bits=np.int32(2),
+                             lam=np.float32(0.5), seed=np.uint32(7))
+        assert config.layer_dims == (4, 3) and type(config.layer_dims[0]) is int
 
     def test_parse_round_trip(self):
         config = tiny_config(lam=0.25, eps_sae=1e-3, eps_rbm=None)
@@ -147,6 +173,14 @@ class TestInitModel:
                     beta=model.rbm.beta + 1, cd_steps=model.rbm.cd_steps)
         with pytest.raises(ConfigError):
             Model(model.sae, other, model.norm_stats, model.config)
+
+    def test_model_shapes_are_the_configs(self):
+        # Either model would save a file that load_model refuses.
+        model = init_model(tiny_config())
+        with pytest.raises(ConfigError, match="stack dims"):
+            Model(model.sae, model.rbm, model.norm_stats, tiny_config(layer_dims=(5, 3)))
+        with pytest.raises(ConfigError, match="normalization width"):
+            Model(model.sae, model.rbm, NormStats.identity(7), model.config)
 
     def test_structure(self):
         config = TrainingConfig(layer_dims=(4, 8), code_bits=3, epochs=1,

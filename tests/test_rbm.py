@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdhash.errors import CapacityError, ConfigError, DomainError
+from hdhash.errors import CapacityError
 from hdhash.rbm import (
     Rbm,
     RbmGradients,
@@ -137,18 +137,6 @@ class TestGibbsChain:
             np.testing.assert_allclose(p_start[i], p_start_i, rtol=1e-14, atol=0)
             np.testing.assert_allclose(p_end[i], p_end_i, rtol=1e-14, atol=0)
 
-    def test_negative_seed_rejected(self):
-        m = Rbm(np.zeros((2, 2)), np.zeros(2), np.zeros(2))
-        with pytest.raises(ConfigError):
-            gibbs_chain(m, np.zeros(2), -1)
-
-    @pytest.mark.parametrize("seed", [np.random.default_rng(0), 1.5, None],
-                             ids=["generator", "float", "none"])
-    def test_non_int_seed_rejected(self, seed):
-        m = Rbm(np.zeros((2, 2)), np.zeros(2), np.zeros(2))
-        with pytest.raises(ConfigError):
-            gibbs_chain(m, np.zeros(2), seed)
-
 
 class TestSurrogate:
     def test_midpoint(self):
@@ -196,11 +184,6 @@ class TestRegObjective:
                                           batch, 0.3, 0.7, mode)
             assert reg_objective_terms(m, batch, 0.3, 0.7, mode) == pytest.approx(
                 expected, abs=1e-10)
-
-    def test_negative_weights_rejected(self):
-        m = Rbm(np.zeros((1, 1)), np.zeros(1), np.zeros(1))
-        with pytest.raises(ConfigError):
-            reg_objective_terms(m, [[1.0]], -1.0, 0.0)
 
 
 class TestPenaltyGradients:
@@ -332,12 +315,6 @@ class TestUpdate:
         out = update(m, g, 0.25)
         np.testing.assert_allclose(out.vis_bias, [0.5])
 
-    def test_alpha_positive(self):
-        m = Rbm(np.zeros((1, 1)), np.zeros(1), np.zeros(1))
-        g = RbmGradients(np.zeros((1, 1)), np.zeros(1), np.zeros(1))
-        with pytest.raises(ConfigError):
-            update(m, g, 0.0)
-
     def test_preserves_beta_and_steps(self):
         m = Rbm(np.zeros((1, 1)), np.zeros(1), np.zeros(1), beta=7.0, cd_steps=3)
         g = RbmGradients(np.ones((1, 1)), np.ones(1), np.ones(1))
@@ -361,11 +338,6 @@ class TestHash:
         for _ in range(10):
             v = random_binary(gen, 5)
             np.testing.assert_array_equal(hash_bits(m, v), hash_bits(scaled, v))
-
-    def test_non_binary_rejected(self):
-        m = Rbm(np.zeros((2, 2)), np.zeros(2), np.zeros(2))
-        with pytest.raises(DomainError):
-            hash_bits(m, [0.5, 0.0])
 
     def test_batch_matches_single(self):
         gen = np.random.default_rng(15)

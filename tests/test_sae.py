@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hdhash.errors import ConfigError, ShapeError
+from hdhash.errors import DomainError, ShapeError
 from hdhash.sae import (
     SaeLayer,
     SaeStack,
@@ -119,13 +119,6 @@ class TestObjective:
             assert r == objective(layer, batch, 0.3, 0.7, mode)
             assert v.tobytes() == forward(layer, batch).tobytes()
 
-    def test_negative_weights_rejected(self):
-        layer = random_layer(2, 2, np.random.default_rng(0))
-        with pytest.raises(ConfigError):
-            objective(layer, np.zeros((1, 2)), -0.1, 0.0)
-        with pytest.raises(ConfigError):
-            objective(layer, np.zeros((1, 2)), 0.0, -1.0)
-
 
 def finite_difference_layer(layer, batch, lam, mu, mode, step=1e-5):
     def f(params):
@@ -177,12 +170,6 @@ class TestSgdStep:
         g = type(g)(np.zeros((1, 1)), np.array([0.5]), np.zeros((1, 1)), np.zeros(1))
         out = sgd_step(layer, g, 0.1)
         np.testing.assert_allclose(out.enc_b, [0.95])
-
-    def test_alpha_must_be_positive(self):
-        layer = random_layer(2, 2, np.random.default_rng(0))
-        g = gradients(layer, np.zeros((1, 2)), 0.0, 0.0)
-        with pytest.raises(ConfigError):
-            sgd_step(layer, g, 0.0)
 
     def test_descent_direction(self):
         # a small step never raises the objective materially
@@ -278,3 +265,8 @@ class TestBinarize:
         v = np.random.default_rng(0).normal(size=20)
         np.testing.assert_array_equal(binarize_pm(2.0 * v), binarize_pm(v))
         np.testing.assert_array_equal(binarize_pm(0.001 * v), binarize_pm(v))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_is_a_domain_error(self, bad):
+        with pytest.raises(DomainError, match="non-finite"):
+            binarize_pm([0.5, bad])
