@@ -2,12 +2,16 @@
 
 Every command prints machine-parseable key=value lines on stdout and maps
 errors onto fixed exit codes: 0 success, 1 usage/config, 2 data, 3 numeric
-divergence. All randomness comes from the config's seed; re-running a
+divergence. The commands map errors and do not check input again: the
+library refuses it where it enters (readers, constructors, TrainingConfig),
+and eval-pr adds only the checks that tie its codes, features and mode
+together. All randomness comes from the config's seed; re-running a
 command with identical inputs produces byte-identical outputs.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -47,20 +51,25 @@ def _fail(exit_code: int, message: str) -> CommandOutcome:
     return CommandOutcome(exit_code, message, f"status=error exit={exit_code}")
 
 
-def _guard(fn) -> CommandOutcome:
-    try:
-        return fn()
-    except ConfigError as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    except DivergenceError as exc:
-        return _fail(EXIT_DIVERGED, str(exc))
-    except HdhError as exc:
-        return _fail(EXIT_DATA, str(exc))
-    except OSError as exc:
-        # Writes report through _writing, so this is an unreadable input.
-        return _fail(EXIT_DATA, f"cannot read input file: {exc}")
-    except MemoryError as exc:
-        return _fail(EXIT_DATA, f"not enough memory: {str(exc) or 'allocation failed'}")
+def _exit_codes(cmd):
+    """Decorate a cmd_* function: each error it raises becomes a failed
+    CommandOutcome with that error's exit code."""
+    @functools.wraps(cmd)
+    def guarded(*args, **kwargs) -> CommandOutcome:
+        try:
+            return cmd(*args, **kwargs)
+        except ConfigError as exc:
+            return _fail(EXIT_USAGE, str(exc))
+        except DivergenceError as exc:
+            return _fail(EXIT_DIVERGED, str(exc))
+        except HdhError as exc:
+            return _fail(EXIT_DATA, str(exc))
+        except OSError as exc:
+            # Writes report through _writing, so this is an unreadable input.
+            return _fail(EXIT_DATA, f"cannot read input file: {exc}")
+        except MemoryError as exc:
+            return _fail(EXIT_DATA, f"not enough memory: {str(exc) or 'allocation failed'}")
+    return guarded
 
 
 @contextmanager
@@ -74,95 +83,82 @@ def _writing(path):
                         f"{exc.strerror or exc}") from None
 
 
+@_exit_codes
 def cmd_train(config_path, features_path, model_out, label_col=None) -> CommandOutcome:
-    def run():
-        try:
-            config = pipeline.parse_config_file(config_path)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from None
-        data = normalize(load_features(features_path, label_col))
-        model, history = pipeline.train(config, data)
-        with _writing(model_out):
-            pipeline.save_model(model, model_out)
-        lines = [
-            f"iter={rec.iteration} R={rec.sae_objective:.17g} "
-            f"J={rec.rbm_objective:.17g} sae_repeats={rec.sae_repeats} "
-            f"rbm_repeats={rec.rbm_repeats}"
-            for rec in history
-        ]
-        summary = (f"status=ok model={model_out} iterations={len(history)} "
-                   f"code_bits={model.code_bits}")
-        return _ok(summary, lines)
-
-    return _guard(run)
+    try:
+        config = pipeline.parse_config_file(config_path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from None
+    data = normalize(load_features(features_path, label_col))
+    model, history = pipeline.train(config, data)
+    with _writing(model_out):
+        pipeline.save_model(model, model_out)
+    lines = [
+        f"iter={rec.iteration} R={rec.sae_objective:.17g} "
+        f"J={rec.rbm_objective:.17g} sae_repeats={rec.sae_repeats} "
+        f"rbm_repeats={rec.rbm_repeats}"
+        for rec in history
+    ]
+    summary = (f"status=ok model={model_out} iterations={len(history)} "
+               f"code_bits={model.code_bits}")
+    return _ok(summary, lines)
 
 
+@_exit_codes
 def cmd_encode(model_path, features_path, codes_out, label_col=None) -> CommandOutcome:
-    def run():
-        model = pipeline.load_model(model_path)
-        data = load_features(features_path, label_col)
-        if data.dim != model.input_dim:
-            raise DataError(
-                f"feature dimension mismatch: model expects {model.input_dim}, "
-                f"features have {data.dim}"
-            )
-        words = pipeline.encode_matrix(model, data.values)
-        with _writing(codes_out):
-            search.write_codes_file(codes_out, words, model.code_bits)
-        return _ok(f"status=ok codes={codes_out} count={data.rows} "
-                   f"bits={model.code_bits}")
-
-    return _guard(run)
+    model = pipeline.load_model(model_path)
+    data = load_features(features_path, label_col)
+    words = pipeline.encode_matrix(model, data.values)
+    with _writing(codes_out):
+        search.write_codes_file(codes_out, words, model.code_bits)
+    return _ok(f"status=ok codes={codes_out} count={data.rows} "
+               f"bits={model.code_bits}")
 
 
+@_exit_codes
 def cmd_query(codes_path, query_hex, k_results) -> CommandOutcome:
-    def run():
-        words, n_bits = search.read_codes_file(codes_path)
-        try:
-            query = HashCode.from_hex(query_hex, n_bits)
-        except DomainError as exc:
-            # A bad query string on the command line is a usage error.
-            raise ConfigError(str(exc)) from None
-        index = search.HammingIndex(words, n_bits, np.arange(words.shape[0]))
-        hits = search.topk(index, query, k_results)
-        lines = [f"id={i} distance={d}" for i, d in hits]
-        return _ok(f"status=ok results={len(hits)} bits={n_bits}", lines)
-
-    return _guard(run)
+    words, n_bits = search.read_codes_file(codes_path)
+    try:
+        query = HashCode.from_hex(query_hex, n_bits)
+    except DomainError as exc:
+        # A bad query string on the command line is a usage error.
+        raise ConfigError(str(exc)) from None
+    index = search.HammingIndex(words, n_bits, np.arange(words.shape[0]))
+    hits = search.topk(index, query, k_results)
+    lines = [f"id={i} distance={d}" for i, d in hits]
+    return _ok(f"status=ok results={len(hits)} bits={n_bits}", lines)
 
 
+@_exit_codes
 def cmd_eval_pr(codes_path, features_path, mode, gt_n, out_csv,
                 label_col=None) -> CommandOutcome:
-    def run():
-        words, n_bits = search.read_codes_file(codes_path)
-        data = load_features(features_path, label_col)
-        if words.shape[0] != data.rows:
-            raise DataError(
-                f"codes/features mismatch: {words.shape[0]} codes for "
-                f"{data.rows} rows"
-            )
-        if mode == "label" and data.labels is None:
-            raise DataError("label ground truth requires labeled features "
-                            "(declare --label-col last or use a labeled file)")
-        if mode == "label":
-            _, first, count = np.unique(data.labels, return_index=True, return_counts=True)
-            if (count == 1).any():
-                row = first[count == 1].min()
-                raise DataError(f"label {data.labels[row]} occurs only at row {row + 1}, "
-                                "so that query has no relevant row")
-        elif data.rows == 1:
-            raise DataError("euclidean ground truth needs a second row for the query at row 1")
-        rows = np.arange(data.rows)
-        relevant = search.ground_truth(data, rows, mode, gt_n)
-        index = search.HammingIndex(words, n_bits, rows)
-        table = search.pr_table(index, words, relevant, exclude=rows)
-        with _writing(out_csv):
-            search.write_pr_csv(out_csv, table)
-        area = search.auc(table)
-        return _ok(f"status=ok pr_csv={out_csv} auc={area:.17g} mode={mode} "
-                   f"queries={data.rows}")
-
-    return _guard(run)
+    words, n_bits = search.read_codes_file(codes_path)
+    data = load_features(features_path, label_col)
+    if words.shape[0] != data.rows:
+        raise DataError(
+            f"codes/features mismatch: {words.shape[0]} codes for "
+            f"{data.rows} rows"
+        )
+    if mode == "label" and data.labels is None:
+        raise DataError("label ground truth requires labeled features "
+                        "(declare --label-col last or use a labeled file)")
+    if mode == "label":
+        _, first, count = np.unique(data.labels, return_index=True, return_counts=True)
+        if (count == 1).any():
+            row = first[count == 1].min()
+            raise DataError(f"label {data.labels[row]} occurs only at row {row + 1}, "
+                            "so that query has no relevant row")
+    elif data.rows == 1:
+        raise DataError("euclidean ground truth needs a second row for the query at row 1")
+    rows = np.arange(data.rows)
+    relevant = search.ground_truth(data, rows, mode, gt_n)
+    index = search.HammingIndex(words, n_bits, rows)
+    table = search.pr_table(index, words, relevant, exclude=rows)
+    with _writing(out_csv):
+        search.write_pr_csv(out_csv, table)
+    area = search.auc(table)
+    return _ok(f"status=ok pr_csv={out_csv} auc={area:.17g} mode={mode} "
+               f"queries={data.rows}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -193,7 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-pr", help="precision-recall over a radius sweep")
     p.add_argument("--codes", required=True)
     p.add_argument("--features", required=True)
-    p.add_argument("--mode", choices=["label", "euclidean"], required=True)
+    p.add_argument("--mode", choices=search.GROUND_TRUTH_MODES, required=True)
     p.add_argument("--gt-n", type=ascii_int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--label-col", choices=["last"], default=None)

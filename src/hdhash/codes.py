@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ShapeError
+from .features import check_count
 
 WORD_BITS = 64
 _HEX_DIGITS = frozenset(string.hexdigits)
@@ -45,7 +46,7 @@ class HashCode:
     words: np.ndarray = field(compare=False)
 
     def __post_init__(self):
-        if self.n_bits < 1:
+        if check_count("n_bits", self.n_bits) < 1:
             raise DomainError(f"code length must be >= 1, got {self.n_bits}")
         w = np.asarray(self.words, dtype=np.uint64)
         if w.shape != (words_per_code(self.n_bits),):

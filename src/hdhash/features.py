@@ -64,9 +64,8 @@ class NormStats:
     def apply(self, raw: np.ndarray) -> np.ndarray:
         raw = np.asarray(raw, dtype=np.float64)
         if raw.shape[-1] != self.shift.shape[0]:
-            raise ShapeError(
-                f"expected dimension {self.shift.shape[0]}, got {raw.shape[-1]}"
-            )
+            raise ShapeError(f"feature dimension mismatch: expected {self.shift.shape[0]} "
+                             f"features per row, got {raw.shape[-1]}")
         return (raw - self.shift) * self.scale
 
     @classmethod
@@ -144,6 +143,13 @@ def ascii_float(text: str) -> float:
 def ascii_int(text: str) -> int:
     """int(text) for an ASCII numeral; see ascii_float."""
     return int(_ascii_numeral(text))
+
+
+def check_count(name: str, value):
+    """value if it is a non-bool int or numpy integer, else a ConfigError naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name}: {value!r} is not an integer")
+    return value
 
 
 def _ascii_numeral(text: str) -> str:

@@ -19,6 +19,7 @@ every float64 exactly (17 significant digits).
 """
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -38,7 +39,8 @@ from .errors import (
     TruncationError,
     VersionError,
 )
-from .features import FeatureMatrix, NormStats, ascii_float, ascii_int, atomic_write
+from .features import (FeatureMatrix, NormStats, ascii_float, ascii_int, atomic_write,
+                       check_count)
 from .rbm import Rbm
 from .sae import DECORRELATION_MODES, SaeLayer, SaeStack
 
@@ -74,85 +76,77 @@ class TrainingConfig:
     max_repeats_per_iter: int = 3
 
     def __post_init__(self):
-        for _, attr, parse, _ in _CONFIG_KEYS:
-            if parse in _ARG_KINDS:
-                types, what = _ARG_KINDS[parse]
-                value = getattr(self, attr)
-                for v in value if parse is _DIMS[0] else (value,):
-                    if isinstance(v, bool) or not isinstance(v, types):
-                        raise ConfigError(f"{attr}: {v!r} is not {what}")
-                    if parse is ascii_float and not np.isfinite(v):
-                        raise ConfigError(f"{attr} must be finite, got {v}")
+        for _, attr, (_, _, numbers), least in _CONFIG_KEYS:
+            for v in numbers(attr, getattr(self, attr)):
+                if least is not None and not v >= least:  # NaN is never >= least
+                    raise ConfigError(f"{attr}: {v!r} is not >= {least}")
         dims = tuple(int(d) for d in self.layer_dims)
         object.__setattr__(self, "layer_dims", dims)
-        if len(dims) < 2 or any(d < 1 for d in dims):
-            raise ConfigError(f"layer_dims needs >= 2 positive entries, got {dims}")
-        if self.code_bits < 1:
-            raise ConfigError(f"code_bits must be >= 1, got {self.code_bits}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.lam < 0 or self.mu < 0:
-            raise ConfigError("penalty weights lam/mu must be >= 0")
-        if self.beta < 1:
-            raise ConfigError(f"beta must be >= 1, got {self.beta}")
-        if self.alpha <= 0:
-            raise ConfigError(f"alpha must be > 0, got {self.alpha}")
-        if self.cd_steps < 1:
-            raise ConfigError(f"cd_steps must be >= 1, got {self.cd_steps}")
-        if self.outer_iters < 1:
-            raise ConfigError(f"outer_iters must be >= 1, got {self.outer_iters}")
-        for name in ("eps_sae", "eps_rbm"):
-            val = getattr(self, name)
-            if val is not None and not val >= 0:  # inf is allowed, NaN is not
-                raise ConfigError(f"{name} must be >= 0 or auto")
+        if len(dims) < 2:
+            raise ConfigError(f"layer_dims needs >= 2 entries, got {dims}")
+        if not self.alpha > 0:
+            raise ConfigError(f"alpha: {self.alpha!r} is not > 0")
         if self.decorrelation_mode not in DECORRELATION_MODES:
             raise ConfigError(f"unknown decorrelation_mode {self.decorrelation_mode!r}")
         if self.init_mode not in INIT_MODES:
             raise ConfigError(f"unknown init_mode {self.init_mode!r}")
-        if self.max_repeats_per_iter < 0:
-            raise ConfigError("max_repeats_per_iter must be >= 0")
 
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-# Config value kinds, as (parser, printer) pairs.
-_FLOAT = (ascii_float, _fmt)
-_INT = (ascii_int, str)
-_STR = (str, str)
-_EPS = (lambda text: None if text == "auto" else ascii_float(text),
-        lambda val: "auto" if val is None else _fmt(val))
-_DIMS = (lambda text: tuple(ascii_int(p) for p in text.split(",")),
-         lambda dims: ",".join(str(d) for d in dims))
-# What a TrainingConfig argument of each parsed kind must be. Config files
-# parse to these already; a library caller could pass 2.5 for a count.
-_INTEGER = ((int, np.integer), "an integer")
-_REAL = (int, float, np.integer, np.floating)
-_ARG_KINDS = {ascii_int: _INTEGER, _DIMS[0]: _INTEGER, ascii_float: (_REAL, "a real number"),
-              _EPS[0]: ((*_REAL, type(None)), "a real number or None (auto)")}
+def _real(attr, value, finite=True):
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigError(f"{attr}: {value!r} is not a real number")
+    try:
+        as_float = float(value)
+    except OverflowError:  # an int beyond float range
+        raise ConfigError(f"{attr}: the integer is beyond float range") from None
+    if finite and not math.isfinite(as_float):
+        raise ConfigError(f"{attr}: {value!r} is not finite")
+    return (value,)
 
-# (config-file key, constructor attribute, parser, printer). File keys are
-# the public contract; a parser's ValueError is a bad value for its key.
+
+def _counts(attr, value):
+    if not isinstance(value, (tuple, list)):
+        raise ConfigError(f"{attr}: {value!r} is not a tuple or list of integers")
+    return tuple(check_count(attr, v) for v in value)
+
+
+# Config value kinds, as (parser, printer, argument check). A parser's
+# ValueError is a bad value for its key. The check takes (attr, value) and
+# returns the numbers in value that the key's least value bounds; it raises
+# ConfigError naming attr for a value of the wrong kind.
+_FLOAT = (ascii_float, _fmt, _real)
+_INT = (ascii_int, str, lambda attr, value: (check_count(attr, value),))
+_STR = (str, str, lambda attr, value: ())
+_EPS = (lambda text: None if text == "auto" else ascii_float(text),
+        lambda val: "auto" if val is None else _fmt(val),
+        lambda attr, value: () if value is None else _real(attr, value, finite=False))
+_DIMS = (lambda text: tuple(ascii_int(p) for p in text.split(",")),
+         lambda dims: ",".join(str(d) for d in dims), _counts)
+
+# (config-file key, constructor attribute, kind, least value or None). File
+# keys are the public contract. TrainingConfig checks every rule here, plus
+# the ones no row states: 2+ layer_dims, alpha > 0 and the two modes.
 _CONFIG_KEYS = (
-    ("lambda", "lam", *_FLOAT),
-    ("mu", "mu", *_FLOAT),
-    ("beta", "beta", *_FLOAT),
-    ("alpha", "alpha", *_FLOAT),
-    ("layer_dims", "layer_dims", *_DIMS),
-    ("code_bits", "code_bits", *_INT),
-    ("outer_iters", "outer_iters", *_INT),
-    ("eps_sae", "eps_sae", *_EPS),
-    ("eps_rbm", "eps_rbm", *_EPS),
-    ("epochs", "epochs", *_INT),
-    ("batch_size", "batch_size", *_INT),
-    ("cd_steps", "cd_steps", *_INT),
-    ("seed", "seed", *_INT),
-    ("decorrelation_mode", "decorrelation_mode", *_STR),
-    ("init_mode", "init_mode", *_STR),
-    ("max_repeats_per_iter", "max_repeats_per_iter", *_INT),
+    ("lambda", "lam", _FLOAT, 0),
+    ("mu", "mu", _FLOAT, 0),
+    ("beta", "beta", _FLOAT, 1),
+    ("alpha", "alpha", _FLOAT, None),
+    ("layer_dims", "layer_dims", _DIMS, 1),
+    ("code_bits", "code_bits", _INT, 1),
+    ("outer_iters", "outer_iters", _INT, 1),
+    ("eps_sae", "eps_sae", _EPS, 0),
+    ("eps_rbm", "eps_rbm", _EPS, 0),
+    ("epochs", "epochs", _INT, 1),
+    ("batch_size", "batch_size", _INT, 1),
+    ("cd_steps", "cd_steps", _INT, 1),
+    ("seed", "seed", _INT, 0),
+    ("decorrelation_mode", "decorrelation_mode", _STR, None),
+    ("init_mode", "init_mode", _STR, None),
+    ("max_repeats_per_iter", "max_repeats_per_iter", _INT, 0),
 )
 
 
@@ -176,7 +170,7 @@ def parse_config_text(text: str, where: str = "config") -> TrainingConfig:
         if key not in known:
             raise ConfigError(f"{where}: unknown key {key!r}")
     kwargs = {}
-    for key, attr, parse, _ in _CONFIG_KEYS:
+    for key, attr, (parse, _, _), _ in _CONFIG_KEYS:
         if key not in raw:
             raise ConfigError(f"{where}: missing config key {key!r}")
         value = raw[key]
@@ -201,8 +195,8 @@ def _fmt_vec(arr: np.ndarray) -> str:
 
 
 def config_lines(config: TrainingConfig, prefix: str = "config.") -> list[str]:
-    return [f"{prefix}{key}={fmt(getattr(config, attr))}"
-            for key, attr, _, fmt in _CONFIG_KEYS]
+    return [f"{prefix}{key}={show(getattr(config, attr))}"
+            for key, attr, (_, show, _), _ in _CONFIG_KEYS]
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,7 @@ from .errors import (
     ShapeError,
     TruncationError,
 )
-from .features import FeatureMatrix, atomic_write
+from .features import FeatureMatrix, atomic_write, check_count
 
 CODES_MAGIC = b"HDHC"
 
@@ -73,7 +73,7 @@ class HammingIndex:
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.n_bits < 1:
+        if check_count("n_bits", self.n_bits) < 1:
             raise ShapeError(f"codes need at least 1 bit, got {self.n_bits}")
         words = np.asarray(self.words, dtype=np.uint64)
         if words.ndim != 2 or words.shape[1] != words_per_code(self.n_bits):
@@ -128,7 +128,7 @@ def _ranked(index: HammingIndex, dists, reach, limit=None) -> list[tuple[int, in
 
 def topk(index: HammingIndex, query: HashCode, k_results: int) -> list[tuple[int, int]]:
     """The exact k nearest codes as (id, distance), ties broken by id."""
-    if k_results < 1:
+    if check_count("k_results", k_results) < 1:
         raise ConfigError(f"k_results must be >= 1, got {k_results}")
     if index.size == 0:
         return []
@@ -139,7 +139,7 @@ def topk(index: HammingIndex, query: HashCode, k_results: int) -> list[tuple[int
 
 def radius_search(index: HammingIndex, query: HashCode, radius: int) -> list[tuple[int, int]]:
     """All codes within the given Hamming radius, sorted by (distance, id)."""
-    if not 0 <= radius <= index.n_bits:
+    if not 0 <= check_count("radius", radius) <= index.n_bits:
         raise ConfigError(f"radius must be in 0..{index.n_bits}, got {radius}")
     return _ranked(index, _distances(index, _query_words(index, query)), radius)
 
@@ -166,7 +166,7 @@ def ground_truth(data: FeatureMatrix, query_rows, mode: str, n_gt: int = 0) -> n
             raise ConfigError("label ground truth requires a labeled dataset")
         relevant = data.labels[query_rows, None] == data.labels[None, :]
     else:
-        if n_gt < 1:
+        if check_count("n_gt", n_gt) < 1:
             raise ConfigError(f"euclidean ground truth needs n_gt >= 1, got {n_gt}")
         relevant = _euclidean_relevance(data.values, query_rows, n_gt)
     relevant[np.arange(query_rows.size), query_rows] = False

@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -197,6 +198,18 @@ class TestEncodeCommand:
         outcome = cmd_encode(str(model_path), str(wrong), str(tmp_path / "c.hdhc"))
         assert outcome.exit_code == 2
         assert "4" in outcome.message and "7" in outcome.message
+
+    def test_dimension_mismatch_through_main_names_both_widths(self, trained, tmp_path,
+                                                               capsys):
+        _, _, model_path = trained
+        wrong = tmp_path / "wrong.csv"
+        write_features_csv(wrong, dim=7)
+        code = main(["encode", "--model", str(model_path), "--features", str(wrong),
+                     "--out", str(tmp_path / "c.hdhc")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "status=error exit=2\n"
+        assert captured.err.startswith("hdhash: feature dimension mismatch: ")
+        assert re.search(r"\b4\b", captured.err) and re.search(r"\b7\b", captured.err)
 
     def test_rerun_byte_identical(self, trained, tmp_path):
         _, features_path, model_path = trained

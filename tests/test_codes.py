@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdhash.codes import HashCode, hamming_words, pack_bits, words_per_code
-from hdhash.errors import DomainError, ShapeError
+from hdhash.errors import ConfigError, DomainError, ShapeError
 
 from conftest import NOT_HEX
 
@@ -40,6 +40,10 @@ class TestPacking:
     def test_non_binary_rejected(self):
         with pytest.raises(DomainError):
             HashCode.from_bits(np.array([0, 2, 1]))
+
+    def test_bit_length_must_be_an_integer(self):
+        with pytest.raises(ConfigError, match="^n_bits: "):
+            HashCode(8.0, np.zeros(1, dtype=np.uint64))
 
     @given(st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=50, deadline=None)

@@ -67,6 +67,12 @@ class TestConfig:
             tiny_config(seed=-1)
         with pytest.raises(ConfigError):
             tiny_config(beta=0.5)
+        for field, value in (("epochs", 0), ("batch_size", 0), ("cd_steps", 0),
+                             ("max_repeats_per_iter", -1), ("eps_rbm", float("nan")),
+                             ("layer_dims", (4, 0)), ("beta", float("inf")),
+                             ("init_mode", "nope")):
+            with pytest.raises(ConfigError):
+                tiny_config(**{field: value})
 
     @pytest.mark.parametrize("field, value", [
         ("layer_dims", (4.7, 3)), ("layer_dims", (4, True)),
@@ -74,6 +80,8 @@ class TestConfig:
         ("code_bits", 4.0), ("seed", 1.5), ("cd_steps", 1.5), ("outer_iters", 2.5),
         ("seed", np.float64(1.0)), ("lam", "0.1"), ("mu", None), ("beta", "10"),
         ("alpha", [0.01]), ("eps_sae", "auto"), ("eps_rbm", "1e-3"),
+        ("layer_dims", 4), pytest.param("lam", 10**400, id="lam-10**400"),
+        pytest.param("eps_sae", 10**400, id="eps_sae-10**400"),
     ])
     def test_wrong_kind_rejected_naming_field(self, field, value):
         # A count is an integer, never rounded ((4.7, 3) is not (4, 3)), and a

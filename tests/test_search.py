@@ -196,6 +196,34 @@ class TestRadiusSearch:
             radius_search(index, code_of(np.zeros(8, dtype=np.uint8)), 9)
 
 
+class TestCountArguments:
+    """A count that is not a non-bool integer is a ConfigError naming it."""
+
+    @pytest.mark.parametrize("name, call", [
+        pytest.param("k_results", lambda index, query, data: topk(index, query, 2.0),
+                     id="topk-2.0"),
+        pytest.param("k_results", lambda index, query, data: topk(index, query, True),
+                     id="topk-True"),
+        pytest.param("radius", lambda index, query, data: radius_search(index, query, 2.5),
+                     id="radius_search-2.5"),
+        pytest.param("n_gt", lambda index, query, data: ground_truth(
+            data, [0, 1], "euclidean", 2.5), id="ground_truth-2.5"),
+        pytest.param("n_bits", lambda index, query, data: HammingIndex(
+            index.words, 8.0, index.ids), id="HammingIndex-8.0"),
+    ])
+    def test_non_integer_named(self, name, call):
+        index, _ = random_index(np.random.default_rng(12), 5, 8)
+        data = FeatureMatrix(np.random.default_rng(13).uniform(-1, 1, (5, 3)))
+        with pytest.raises(ConfigError, match=f"^{name}: "):
+            call(index, code_of(np.zeros(8, dtype=np.uint8)), data)
+
+    def test_numpy_integers_accepted(self):
+        index, bits = random_index(np.random.default_rng(14), 20, 8)
+        query = code_of(bits[3])
+        assert topk(index, query, np.int64(4)) == topk(index, query, 4)
+        assert radius_search(index, query, np.uint8(3)) == radius_search(index, query, 3)
+
+
 class TestTieHeavySearch:
     """topk and radius_search against the naive oracles where most codes
     repeat a few distinct ones, so long runs of equal distances straddle
