@@ -3,7 +3,8 @@
 A k-bit code is stored in ceil(k/64) unsigned 64-bit words, little-endian
 within words: bit i lives in word i // 64 at bit position i % 64. Trailing
 pad bits of the last word are always zero, so word-level XOR + popcount
-gives exact Hamming distances.
+gives exact Hamming distances. check_words states that rule once, for
+every edge that takes packed codes.
 """
 from __future__ import annotations
 
@@ -23,19 +24,23 @@ def words_per_code(n_bits: int) -> int:
     return (n_bits + WORD_BITS - 1) // WORD_BITS
 
 
-def _pad_mask(n_bits: int) -> int:
-    """Mask of the valid bits in the last word."""
+def check_words(words, n_bits) -> tuple[np.ndarray, int]:
+    """The one packed-code rule: (words as a uint64 matrix, n_bits as an int).
+
+    n_bits is a count of at least 1, words an N x words_per_code(n_bits)
+    matrix whose pad bits are all zero (a set one gives wrong distances).
+    """
+    n_bits = int(check_count("n_bits", n_bits))
+    if n_bits < 1:
+        raise ShapeError(f"codes need at least 1 bit, got {n_bits}")
+    words = np.asarray(words, dtype=np.uint64)
+    if words.ndim != 2 or words.shape[1] != words_per_code(n_bits):
+        raise ShapeError(f"words must be N x {words_per_code(n_bits)} for "
+                         f"{n_bits}-bit codes, got shape {words.shape}")
     rem = n_bits % WORD_BITS
-    if rem == 0:
-        return 0xFFFFFFFFFFFFFFFF
-    return (1 << rem) - 1
-
-
-def pad_bits_set(words: np.ndarray, n_bits: int) -> bool:
-    """True if any row of an N x words_per_code(n_bits) word matrix has a
-    set pad bit in its last word (such a row gives wrong distances)."""
-    pad = ~_pad_mask(n_bits) & 0xFFFFFFFFFFFFFFFF
-    return bool(pad) and bool(np.any(words[:, -1] & np.uint64(pad)))
+    if rem and np.any(words[:, -1] >> np.uint64(rem)):
+        raise DomainError(f"a code has set pad bits beyond bit {n_bits}")
+    return words, n_bits
 
 
 @dataclass(frozen=True)
@@ -46,18 +51,11 @@ class HashCode:
     words: np.ndarray = field(compare=False)
 
     def __post_init__(self):
-        if check_count("n_bits", self.n_bits) < 1:
-            raise DomainError(f"code length must be >= 1, got {self.n_bits}")
-        w = np.asarray(self.words, dtype=np.uint64)
-        if w.shape != (words_per_code(self.n_bits),):
-            raise ShapeError(
-                f"expected {words_per_code(self.n_bits)} words for {self.n_bits} bits, "
-                f"got shape {w.shape}"
-            )
-        if pad_bits_set(w.reshape(1, -1), self.n_bits):
-            raise DomainError("trailing pad bits must be zero")
-        w.flags.writeable = False
-        object.__setattr__(self, "words", w)
+        words = np.asarray(self.words, dtype=np.uint64)
+        _, n_bits = check_words(words[None], self.n_bits)
+        words.flags.writeable = False
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "n_bits", n_bits)
 
     @classmethod
     def from_bits(cls, bits) -> "HashCode":
@@ -75,7 +73,7 @@ class HashCode:
 
     @classmethod
     def from_hex(cls, text: str, n_bits: int) -> "HashCode":
-        n_words = words_per_code(n_bits)
+        n_words = words_per_code(int(check_count("n_bits", n_bits)))
         if len(text) != 16 * n_words:
             raise DomainError(
                 f"hex code for {n_bits} bits must have {16 * n_words} digits, "

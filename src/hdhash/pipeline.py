@@ -77,9 +77,7 @@ class TrainingConfig:
 
     def __post_init__(self):
         for _, attr, (_, _, numbers), least in _CONFIG_KEYS:
-            for v in numbers(attr, getattr(self, attr)):
-                if least is not None and not v >= least:  # NaN is never >= least
-                    raise ConfigError(f"{attr}: {v!r} is not >= {least}")
+            _check_row(attr, getattr(self, attr), numbers, least)
         dims = tuple(int(d) for d in self.layer_dims)
         object.__setattr__(self, "layer_dims", dims)
         if len(dims) < 2:
@@ -90,6 +88,13 @@ class TrainingConfig:
             raise ConfigError(f"unknown decorrelation_mode {self.decorrelation_mode!r}")
         if self.init_mode not in INIT_MODES:
             raise ConfigError(f"unknown init_mode {self.init_mode!r}")
+
+
+def _check_row(name, value, numbers, least):
+    """Check value by a _CONFIG_KEYS row, naming it name in any ConfigError."""
+    for v in numbers(name, value):
+        if least is not None and not v >= least:  # NaN is never >= least
+            raise ConfigError(f"{name}: {v!r} is not >= {least}")
 
 
 def _fmt(x: float) -> str:
@@ -151,34 +156,40 @@ _CONFIG_KEYS = (
 
 
 def parse_config_text(text: str, where: str = "config") -> TrainingConfig:
-    """Parse flat key=value config text; every key is required."""
-    raw = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{where}: line {lineno} is not key=value: {line!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key in raw:
-            raise ConfigError(f"{where}: duplicate key {key!r}")
-        raw[key] = value
+    """Parse flat key=value config text; every key is required. Each
+    ConfigError names where, and a value out of range names its file key."""
+    try:
+        raw = {}
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ConfigError(f"line {lineno} is not key=value: {line!r}")
+            key, _, value = line.partition("=")
+            key, value = key.strip(), value.strip()
+            if key in raw:
+                raise ConfigError(f"duplicate key {key!r}")
+            raw[key] = value
 
-    known = {key for key, *_ in _CONFIG_KEYS}
-    for key in raw:
-        if key not in known:
-            raise ConfigError(f"{where}: unknown key {key!r}")
-    kwargs = {}
-    for key, attr, (parse, _, _), _ in _CONFIG_KEYS:
-        if key not in raw:
-            raise ConfigError(f"{where}: missing config key {key!r}")
-        value = raw[key]
-        try:
-            kwargs[attr] = parse(value)
-        except ValueError:
-            raise ConfigError(f"{where}: bad value for {key!r}: {value!r}") from None
-    return TrainingConfig(**kwargs)
+        known = {key for key, *_ in _CONFIG_KEYS}
+        for key in raw:
+            if key not in known:
+                raise ConfigError(f"unknown key {key!r}")
+        kwargs = {}
+        for key, attr, (parse, _, numbers), least in _CONFIG_KEYS:
+            if key not in raw:
+                raise ConfigError(f"missing config key {key!r}")
+            try:
+                kwargs[attr] = parse(raw[key])
+            except ValueError:
+                raise ConfigError(f"bad value for {key!r}: {raw[key]!r}") from None
+            # TrainingConfig checks the row again, but names only the attribute.
+            _check_row(attr if key == attr else f"{attr} (config key {key!r})",
+                       kwargs[attr], numbers, least)
+        return TrainingConfig(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def parse_config_file(path) -> TrainingConfig:
@@ -224,10 +235,6 @@ class Model:
     @property
     def code_bits(self) -> int:
         return self.rbm.h_dim
-
-    @property
-    def input_dim(self) -> int:
-        return self.sae.dims[0]
 
 
 @dataclass(frozen=True)
@@ -511,7 +518,8 @@ def _model_from_fields(fields: dict, where: str) -> Model:
         return _parse_vec(need(key), int(np.prod(shape)), key).reshape(shape)
 
     config = parse_config_text(
-        "\n".join(f"{k}={need('config.' + k)}" for k, *_ in _CONFIG_KEYS), where=where)
+        "\n".join(f"{k}={need('config.' + k)}" for k, *_ in _CONFIG_KEYS),
+        where="config echo")
     dims = config.layer_dims
     v_dim, h_dim = dims[-1], config.code_bits
     # Every stored shape and RBM setting must be the one the config echo

@@ -7,7 +7,9 @@ naive re-sort oracle. topk, radius_search and pr_table scan through one
 helper, and one helper ranks the codes within a reach by (distance, id):
 radius_search ranks those within its radius, and topk is radius_search cut
 at the k-th smallest distance (a partition finds it) to its first k hits,
-so a run of ties at the cut still goes to the lowest ids.
+so a run of ties at the cut still goes to the lowest ids. HammingIndex,
+pr_table's query words and the codes file reader and writer check their
+code matrices by codes.check_words, and nothing here checks them again.
 
 Euclidean ground truth filters before it selects. For a block of queries one
 matmul tile gives squared distances in Gram form, ||x||^2 + ||y||^2 - 2x.y,
@@ -40,11 +42,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import HashCode, hamming_words, pad_bits_set, words_per_code
+from .codes import HashCode, check_words, hamming_words, words_per_code
 from .errors import (
     ConfigError,
     DataError,
-    DomainError,
     FormatError,
     ShapeError,
     TruncationError,
@@ -73,16 +74,7 @@ class HammingIndex:
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        if check_count("n_bits", self.n_bits) < 1:
-            raise ShapeError(f"codes need at least 1 bit, got {self.n_bits}")
-        words = np.asarray(self.words, dtype=np.uint64)
-        if words.ndim != 2 or words.shape[1] != words_per_code(self.n_bits):
-            raise ShapeError(
-                f"words must be N x {words_per_code(self.n_bits)} for "
-                f"{self.n_bits}-bit codes, got {words.shape}"
-            )
-        if pad_bits_set(words, self.n_bits):
-            raise DomainError("trailing pad bits of every code must be zero")
+        words, n_bits = check_words(self.words, self.n_bits)
         ids = np.asarray(self.ids, dtype=np.int64)
         if ids.shape != (words.shape[0],):
             raise ShapeError("ids must align with codes")
@@ -95,6 +87,7 @@ class HammingIndex:
         words.flags.writeable = False
         ids.flags.writeable = False
         object.__setattr__(self, "words", words)
+        object.__setattr__(self, "n_bits", n_bits)
         object.__setattr__(self, "ids", ids)
         if self.labels is not None:
             labels = np.asarray(self.labels, dtype=np.int64)
@@ -267,15 +260,12 @@ def pr_table(index: HammingIndex, query_words, relevant, exclude=None) -> list[P
     optionally names one index position per query that no radius retrieves
     (use it when queries are rows of the index itself).
     """
-    query_words = np.asarray(query_words, dtype=np.uint64)
+    query_words, k = check_words(query_words, index.n_bits)
     relevant = np.asarray(relevant, dtype=bool)
     n_queries = len(query_words)
-    if (query_words.shape != (n_queries, index.words.shape[1])
-            or relevant.shape != (n_queries, index.size)):
-        raise ShapeError(f"need {index.words.shape[1]} words and {index.size} relevance "
-                         f"flags per query, got {query_words.shape} and {relevant.shape}")
-    if pad_bits_set(query_words, index.n_bits):
-        raise DomainError("trailing pad bits of every query code must be zero")
+    if relevant.shape != (n_queries, index.size):
+        raise ShapeError(f"need {index.size} relevance flags per query for "
+                         f"{n_queries} queries, got shape {relevant.shape}")
     if exclude is not None:
         exclude = np.asarray(exclude, dtype=np.int64)
         if exclude.shape != (n_queries,) or np.any((exclude < 0) | (exclude >= index.size)):
@@ -285,7 +275,6 @@ def pr_table(index: HammingIndex, query_words, relevant, exclude=None) -> list[P
     rel_sizes = relevant.sum(axis=1)
     if not rel_sizes.all():
         raise DataError(f"query {int(np.argmin(rel_sizes))} has no relevant position")
-    k = index.n_bits
 
     # A block's distances sit in 2(k + 2) bins per query: bin d counts
     # distance d, bin k + 2 + d a relevant position at d, and bin k + 1 (or
@@ -352,15 +341,11 @@ def auc(table: list[PrPoint]) -> float:
 def write_codes_file(path, words: np.ndarray, n_bits: int) -> None:
     """Write packed codes: magic, u32 count, u32 bit length, u64 words.
 
-    Refuses what read_codes_file would reject: a bad shape or set pad bits.
+    Refuses what read_codes_file would reject: codes that break check_words.
     """
-    words = np.asarray(words, dtype="<u8")
-    if n_bits < 1 or words.ndim != 2 or words.shape[1] != words_per_code(n_bits):
-        raise ShapeError(f"words shape {words.shape} does not fit {n_bits}-bit codes")
-    if pad_bits_set(words, n_bits):
-        raise DomainError(f"a code has set pad bits beyond bit {n_bits}")
+    words, n_bits = check_words(words, n_bits)
     atomic_write(path, CODES_MAGIC + struct.pack("<II", words.shape[0], n_bits)
-                 + words.tobytes())
+                 + words.astype("<u8", copy=False).tobytes())
 
 
 def read_codes_file(path) -> tuple[np.ndarray, int]:
@@ -389,9 +374,10 @@ def read_codes_file(path) -> tuple[np.ndarray, int]:
     words = np.frombuffer(body, dtype="<u8", count=count * n_words)
     words = np.require(words.reshape(count, n_words), np.uint64, "A")
     words.flags.writeable = False
-    if pad_bits_set(words, n_bits):
-        raise FormatError(f"{path}: a code has set pad bits beyond bit {n_bits}")
-    return words, n_bits
+    try:
+        return check_words(words, n_bits)
+    except DataError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def write_pr_csv(path, table: list[PrPoint]) -> None:

@@ -122,6 +122,19 @@ class TestTrainCommand:
         assert outcome.exit_code == 1
         assert not (tmp_path / "m.hdhm").exists()
 
+    def test_out_of_range_value_names_file_and_key(self, tmp_path):
+        config_path = tmp_path / "t.cfg"
+        write_config(config_path)
+        config_path.write_text("".join(
+            "lambda=-1\n" if line.startswith("lambda=") else line + "\n"
+            for line in config_path.read_text().splitlines()))
+        features_path = tmp_path / "f.csv"
+        write_features_csv(features_path)
+        outcome = cmd_train(str(config_path), str(features_path),
+                            str(tmp_path / "m.hdhm"))
+        assert outcome.exit_code == 1
+        assert str(config_path) in outcome.message and "'lambda'" in outcome.message
+
     @pytest.mark.parametrize("key, value", [
         ("code_bits", "0_2"), ("layer_dims", "4,,3"), ("layer_dims", "4,3,"),
     ])

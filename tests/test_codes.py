@@ -45,6 +45,15 @@ class TestPacking:
         with pytest.raises(ConfigError, match="^n_bits: "):
             HashCode(8.0, np.zeros(1, dtype=np.uint64))
 
+    @pytest.mark.parametrize("n_bits", [8, 100, 128])
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint32])
+    def test_numpy_integer_bit_lengths(self, kind, n_bits):
+        bits = (np.random.default_rng(n_bits).random(n_bits) < 0.5).astype(np.uint8)
+        code = HashCode.from_bits(bits)
+        same = HashCode(kind(n_bits), code.words)
+        assert same == code and type(same.n_bits) is int
+        assert HashCode.from_hex(code.to_hex(), kind(n_bits)) == code
+
     @given(st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=50, deadline=None)
     def test_round_trip_random(self, n_bits, seed):
@@ -69,6 +78,10 @@ class TestHex:
     def test_malformed(self):
         with pytest.raises(DomainError):
             HashCode.from_hex("zz" * 8, 64)
+
+    def test_bit_length_must_be_an_integer(self):
+        with pytest.raises(ConfigError, match="^n_bits: "):
+            HashCode.from_hex("00" * 8, 8.0)
 
     @pytest.mark.parametrize("text", NOT_HEX)
     def test_only_hex_digits(self, text):

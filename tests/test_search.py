@@ -223,6 +223,57 @@ class TestCountArguments:
         assert topk(index, query, np.int64(4)) == topk(index, query, 4)
         assert radius_search(index, query, np.uint8(3)) == radius_search(index, query, 3)
 
+    @pytest.mark.parametrize("n_bits", [8, 100, 128])
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint32])
+    def test_numpy_integer_bit_lengths(self, tmp_path, kind, n_bits):
+        index, bits = random_index(np.random.default_rng(n_bits), 6, n_bits)
+        same = HammingIndex(index.words, kind(n_bits), index.ids)
+        assert same.n_bits == n_bits and type(same.n_bits) is int
+        query = code_of(bits[2])
+        assert topk(same, query, 3) == topk(index, query, 3)
+        relevant = np.eye(6, dtype=bool)
+        assert pr_table(same, index.words, relevant) == pr_table(index, index.words, relevant)
+        write_codes_file(tmp_path / "c.hdhc", index.words, kind(n_bits))
+        words, k = read_codes_file(tmp_path / "c.hdhc")
+        assert k == n_bits and np.array_equal(words, index.words)
+
+    @pytest.mark.parametrize("n_bits", [8.0, True])
+    def test_codes_file_bit_length_named(self, tmp_path, n_bits):
+        with pytest.raises(ConfigError, match="^n_bits: "):
+            write_codes_file(tmp_path / "c.hdhc", np.zeros((2, 1), dtype=np.uint64), n_bits)
+        assert not (tmp_path / "c.hdhc").exists()
+
+
+class TestPackedCodeRule:
+    """Every edge that takes packed codes refuses one set pad bit, and takes
+    the same words with that bit cleared."""
+
+    @given(n_bits=st.integers(min_value=1, max_value=200).filter(lambda n: n % 64),
+           data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_one_set_pad_bit_refused_at_every_edge(self, tmp_path_factory, n_bits, data):
+        rows = data.draw(st.integers(min_value=1, max_value=4))
+        row = data.draw(st.integers(min_value=0, max_value=rows - 1))
+        pad_bit = data.draw(st.integers(min_value=n_bits % 64, max_value=63))
+        good = pack_bits(np.random.default_rng(n_bits).random((rows, n_bits)) < 0.5)
+        bad = good.copy()
+        bad[row, -1] |= np.uint64(1 << pad_bit)
+        relevant = np.ones((rows, rows), dtype=bool)
+        index = HammingIndex(good, n_bits, np.arange(rows))
+        path = tmp_path_factory.mktemp("codes") / "c.hdhc"
+        for edge in (lambda w: HashCode(n_bits, w[row]),
+                     lambda w: HammingIndex(w, n_bits, np.arange(rows)),
+                     lambda w: pr_table(index, w, relevant),
+                     lambda w: write_codes_file(path, w, n_bits)):
+            edge(good)
+            with pytest.raises(DomainError):
+                edge(bad)
+        write_raw_codes(path, bad, n_bits)
+        with pytest.raises(FormatError):
+            read_codes_file(path)
+        write_raw_codes(path, good, n_bits)
+        assert np.array_equal(read_codes_file(path)[0], good)
+
 
 class TestTieHeavySearch:
     """topk and radius_search against the naive oracles where most codes
