@@ -28,6 +28,7 @@ from hdhash.pipeline import (
     save_model,
     train,
 )
+from test_golden import digests, golden_config
 
 def tiny_config(**overrides):
     base = dict(layer_dims=(4, 3), code_bits=2, epochs=1, batch_size=4, seed=1,
@@ -280,6 +281,22 @@ class TestRepeatLogic:
             else:
                 assert rec.sae_repeats == 0
             assert rec.rbm_repeats == 0
+
+    # The golden cases allow one repeat; these pin the bytes of later repeats,
+    # whose RBM passes reuse the fixed stack's encoding.
+    @pytest.mark.parametrize("overrides, want", [
+        (dict(max_repeats_per_iter=2),
+         ("3d3ca0fb24c31b9339ceaab2dccddac5f26da41b5e8a36e13a30d87da47cb483",
+          "9dc3e398ebd3273099aae61a45514dda4902f72b3edbf7d2b35cc0c7cf6fcad4",
+          "b82a6327e3618bfedd07cadfbbb2786e86c81b793d8cae6dadb8b11659312706")),
+        (dict(max_repeats_per_iter=3, outer_iters=5, cd_steps=2),
+         ("e703586b56c2e5519f09ec16124613b8729b15de8dc6231a5cd778a281205804",
+          "e83a5c237c7e0185c389fb6b184aa88362752101bf2806dae92dbdfba9bf2de4",
+          "ff371910b97118edfd8ba6277d18eeadb9329871d4aebbb9f6ee34e1ee4034d9")),
+    ])
+    def test_multi_repeat_bytes(self, overrides, want, tmp_path):
+        got = digests(golden_config(**overrides), tmp_path)
+        assert (got["model"], got["codes"], got["history"]) == want
 
 
 class TestEncode:
