@@ -139,9 +139,8 @@ def cmd_eval_pr(codes_path, features_path, mode, gt_n, out_csv,
             f"codes/features mismatch: {words.shape[0]} codes for "
             f"{data.rows} rows"
         )
-    if mode == "label" and data.labels is None:
-        raise DataError("label ground truth requires labeled features "
-                        "(declare --label-col last or use a labeled file)")
+    rows = np.arange(data.rows)
+    relevant = search.ground_truth(data, rows, mode, gt_n)
     if mode == "label":
         _, first, count = np.unique(data.labels, return_index=True, return_counts=True)
         if (count == 1).any():
@@ -150,8 +149,6 @@ def cmd_eval_pr(codes_path, features_path, mode, gt_n, out_csv,
                             "so that query has no relevant row")
     elif data.rows == 1:
         raise DataError("euclidean ground truth needs a second row for the query at row 1")
-    rows = np.arange(data.rows)
-    relevant = search.ground_truth(data, rows, mode, gt_n)
     index = search.HammingIndex(words, n_bits, rows)
     table = search.pr_table(index, words, relevant, exclude=rows)
     with _writing(out_csv):

@@ -51,7 +51,7 @@ class HashCode:
     words: np.ndarray = field(compare=False)
 
     def __post_init__(self):
-        words = np.asarray(self.words, dtype=np.uint64)
+        words = np.array(self.words, dtype=np.uint64)  # a copy: __hash__ reads it
         _, n_bits = check_words(words[None], self.n_bits)
         words.flags.writeable = False
         object.__setattr__(self, "words", words)

@@ -55,9 +55,7 @@ class NormStats:
         if self.mode not in ("minmax_symmetric", "identity"):
             raise ConfigError(f"unknown normalization mode {self.mode!r}")
         for name in ("shift", "scale"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, read_only(getattr(self, name), np.float64))
         if self.shift.shape != self.scale.shape or self.shift.ndim != 1:
             raise ShapeError("shift and scale must be 1-D vectors of equal length")
 
@@ -75,7 +73,8 @@ class NormStats:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """An immutable N x d matrix of finite feature values.
+    """An N x d matrix of finite feature values. Read-only; shares a caller's
+    float64 array, which stays checked only while the caller leaves it alone.
 
     labels, when present, is an int array of length N. norm_stats records
     the transform already applied to values (None for raw data).
@@ -86,20 +85,18 @@ class FeatureMatrix:
     norm_stats: NormStats | None = None
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
+        vals = read_only(self.values, np.float64)
         if vals.ndim != 2 or vals.shape[0] < 1 or vals.shape[1] < 1:
             raise ShapeError(f"feature matrix must be 2-D and non-empty, got {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise FormatError("feature matrix contains non-finite values")
-        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         if self.labels is not None:
-            labs = np.asarray(self.labels, dtype=np.int64)
+            labs = read_only(self.labels, np.int64)
             if labs.shape != (vals.shape[0],):
                 raise ShapeError(
                     f"labels must have length {vals.shape[0]}, got {labs.shape}"
                 )
-            labs.flags.writeable = False
             object.__setattr__(self, "labels", labs)
 
     @property
@@ -143,6 +140,15 @@ def ascii_float(text: str) -> float:
 def ascii_int(text: str) -> int:
     """int(text) for an ASCII numeral; see ascii_float."""
     return int(_ascii_numeral(text))
+
+
+def read_only(value, dtype) -> np.ndarray:
+    """value as a read-only dtype array, without a copy where np.asarray makes
+    none: a caller's array of that dtype is shared through a view, and stays
+    writable. A check made on it holds only while the caller leaves it alone."""
+    arr = np.asarray(value, dtype=dtype).view()
+    arr.flags.writeable = False
+    return arr
 
 
 def check_count(name: str, value):
@@ -267,7 +273,8 @@ def _load_packed(blob, path):
     if len(blob) != need:
         raise FormatError(f"{path}: expected {need} bytes, got {len(blob)}")
     values = np.frombuffer(blob, dtype="<f4", count=n * d, offset=13)
-    values = values.reshape(n, d).astype(np.float64)
+    with np.errstate(invalid="ignore"):  # a signalling NaN, which FeatureMatrix refuses
+        values = values.reshape(n, d).astype(np.float64)
     labels = None
     if has_labels:
         labels = np.frombuffer(blob, dtype="<i4", count=n, offset=13 + 4 * n * d)

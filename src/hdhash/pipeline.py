@@ -1,12 +1,14 @@
 """End-to-end training loop, feature-to-code encoding, and model persistence.
 
-Training alternates two stages over seeded batches, outer_iters times:
-(a) every autoencoder layer takes one gradient step per batch, feeding the
-next layer its freshly updated outputs, then (b) the RBM head takes one CD
-step on the thresholded top-layer outputs. After each outer iteration except
-the first and last, a stage whose summed objective moved by more than its
-tolerance since the previous iteration is re-run on the same batches, at
-most max_repeats_per_iter times.
+Training alternates two stages over seeded batches, outer_iters times, one
+pass each: (a) per batch, every autoencoder layer takes one gradient step,
+feeding the next layer its freshly updated outputs, then (b) per batch, the
+RBM head takes one CD step on that batch's thresholded top-layer outputs.
+After each outer iteration except the first and last, a stage whose summed
+objective moved by more than its tolerance since the previous iteration is
+re-run on the same batches, at most max_repeats_per_iter times: first the
+autoencoder repeats, then the RBM repeats, which share one encoding of the
+batches through the stack they leave fixed.
 
 The tracked objectives are sums over the iteration's batches: R for the
 autoencoder stage (all layers), and for the RBM stage the penalty terms plus
@@ -291,63 +293,49 @@ def _check_finite(stage, value, blocks, t):
         raise DivergenceError(stage, t)
 
 
-def _sae_batch_step(layers, x, config, t):
-    """One gradient step for every layer on batch x; returns summed R and
-    the top-layer outputs under the updated parameters."""
-    total = 0.0
-    inp = x
-    for li, layer in enumerate(layers):
-        g = sae_ops.gradients(layer, inp, config.lam, config.mu,
-                              config.decorrelation_mode)
-        layer = sae_ops.sgd_step(layer, g, config.alpha)
-        layers[li] = layer
-        # The post-update objective pass already yields the next layer's input.
-        r, inp = sae_ops.objective(layer, inp, config.lam, config.mu,
-                                   config.decorrelation_mode, return_output=True)
-        total += r
-    _check_finite("sae", total, (b for la in layers
-                                 for b in (la.enc_w, la.enc_b, la.dec_w, la.dec_b)), t)
-    return total, inp
-
-
-def _rbm_batch_step(head, visible, config, t, chain_seed):
-    """One CD update on a binarized batch; returns the new head and its
-    objective contribution (penalties plus free-energy gap, post-update)."""
-    grads, v_end = rbm_ops.cd_gradients_with_stats(
-        head, visible, config.lam, config.mu, config.decorrelation_mode,
-        rng=chain_seed)
-    head = rbm_ops.update(head, grads, config.alpha)
-    gap = float(np.sum(rbm_ops.free_energy(head, visible)
-                       - rbm_ops.free_energy(head, v_end)))
-    value = rbm_ops.reg_objective_terms(head, visible, config.lam, config.mu,
-                                        config.decorrelation_mode) + gap
-    _check_finite("rbm", value, (head.w, head.vis_bias, head.hid_bias), t)
-    return head, value
-
-
-def _pass(layers, head, data, batches, config, t, rep, sae=True, rbm=True):
-    """One pass over the batches (rows of an index matrix); returns the
-    head and summed R and J.
-
-    Per batch, sae takes one step on every layer and rbm one CD step on the
-    thresholded top-layer outputs: with sae, the outputs under the freshly
-    updated layers; without it, those of the current stack.
-    """
+def _sae_pass(layers, data, batches, config, t):
+    """The autoencoder stage over the batches (rows of an index matrix): per
+    batch, one gradient step for every layer. Returns the updated layers,
+    the summed R and each batch's thresholded top-layer outputs under the
+    layers as that batch left them."""
+    layers = list(layers)
     r_total = 0.0
+    bits = []
+    for idx in batches:
+        inp = data.values[idx]
+        r_batch = 0.0
+        for li, layer in enumerate(layers):
+            g = sae_ops.gradients(layer, inp, config.lam, config.mu,
+                                  config.decorrelation_mode)
+            layers[li] = sae_ops.sgd_step(layer, g, config.alpha)
+            # The post-update objective pass already yields the next layer's input.
+            r, inp = sae_ops.objective(layers[li], inp, config.lam, config.mu,
+                                       config.decorrelation_mode, return_output=True)
+            r_batch += r
+        _check_finite("sae", r_batch, (b for la in layers
+                                       for b in (la.enc_w, la.enc_b, la.dec_w, la.dec_b)), t)
+        r_total += r_batch
+        bits.append(sae_ops.binarize_pm(inp))
+    return tuple(layers), r_total, bits
+
+
+def _rbm_pass(head, bits, config, t, rep):
+    """The RBM stage: one CD step per batch of bits. Returns the new head
+    and the summed J, each batch's penalties plus free-energy gap after its
+    update."""
     j_total = 0.0
-    stack = None if sae else SaeStack(tuple(layers))  # the layers stay fixed
-    for m, idx in enumerate(batches):
-        x = data.values[idx]
-        if sae:
-            r_b, top = _sae_batch_step(layers, x, config, t)
-            r_total += r_b
-        else:
-            top = sae_ops.encode_stack(stack, x)
-        if rbm:
-            head, j_b = _rbm_batch_step(head, sae_ops.binarize_pm(top), config, t,
-                                        _derive_seed(config.seed, t, rep, m))
-            j_total += j_b
-    return head, r_total, j_total
+    for m, visible in enumerate(bits):
+        grads, v_end = rbm_ops.cd_gradients_with_stats(
+            head, visible, config.lam, config.mu, config.decorrelation_mode,
+            rng=_derive_seed(config.seed, t, rep, m))
+        head = rbm_ops.update(head, grads, config.alpha)
+        gap = float(np.sum(rbm_ops.free_energy(head, visible)
+                           - rbm_ops.free_energy(head, v_end)))
+        j_batch = rbm_ops.reg_objective_terms(head, visible, config.lam, config.mu,
+                                              config.decorrelation_mode) + gap
+        _check_finite("rbm", j_batch, (head.w, head.vis_bias, head.hid_bias), t)
+        j_total += j_batch
+    return head, j_total
 
 
 def train(config: TrainingConfig, data: FeatureMatrix) -> tuple[Model, list[IterationRecord]]:
@@ -364,41 +352,44 @@ def train(config: TrainingConfig, data: FeatureMatrix) -> tuple[Model, list[Iter
         raise DataError("training data must be normalized into [-1, 1] first")
 
     model = init_model(config)
-    layers = list(model.sae.layers)
-    head = model.rbm
-
-    eps_sae = config.eps_sae
-    eps_rbm = config.eps_rbm
+    layers, head = model.sae.layers, model.rbm
+    eps_sae, eps_rbm = config.eps_sae, config.eps_rbm
     history: list[IterationRecord] = []
     for t in range(1, config.outer_iters + 1):
         order = np.random.default_rng(_derive_seed(config.seed, t)).permutation(data.rows)
         batches = order[:config.epochs * config.batch_size].reshape(
             config.epochs, config.batch_size)
-        head, r_t, j_t = _pass(layers, head, data, batches, config, t, 0)
+        layers, r_t, bits = _sae_pass(layers, data, batches, config, t)
+        head, j_t = _rbm_pass(head, bits, config, t, 0)
         if t == 1:
             if eps_sae is None:
                 eps_sae = 1e-3 * abs(r_t)
             if eps_rbm is None:
                 eps_rbm = 1e-3 * abs(j_t)
-        sae_reps = 0
-        rbm_reps = 0
+        sae_reps = rbm_reps = 0
         # Convergence pressure applies to interior iterations only.
         if 1 < t < config.outer_iters:
             basis = history[-1].sae_objective
             while sae_reps < config.max_repeats_per_iter and abs(r_t - basis) > eps_sae:
                 basis = r_t
-                _, r_t, _ = _pass(layers, head, data, batches, config, t, 0, rbm=False)
+                layers, r_t, _ = _sae_pass(layers, data, batches, config, t)
                 sae_reps += 1
             basis = history[-1].rbm_objective
+            # One encoding of the fixed stack, per batch since top-layer floats
+            # can change with the block size, serves every RBM repeat.
+            fixed = None
             while rbm_reps < config.max_repeats_per_iter and abs(j_t - basis) > eps_rbm:
+                if fixed is None:
+                    stack = SaeStack(layers)
+                    fixed = [sae_ops.binarize_pm(sae_ops.encode_stack(stack, data.values[idx]))
+                             for idx in batches]
                 basis = j_t
-                head, _, j_t = _pass(layers, head, data, batches, config, t,
-                                     rbm_reps + 1, sae=False)
                 rbm_reps += 1
+                head, j_t = _rbm_pass(head, fixed, config, t, rbm_reps)
         history.append(IterationRecord(t, r_t, j_t, sae_reps, rbm_reps))
 
     norm = data.norm_stats if data.norm_stats is not None else NormStats.identity(data.dim)
-    final = Model(SaeStack(tuple(layers)), head, norm, config)
+    final = Model(SaeStack(layers), head, norm, config)
     return final, history
 
 

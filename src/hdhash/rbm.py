@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ConfigError, DomainError, ShapeError
-
+from .features import read_only
 from .sae import _add_penalty, _add_penalty_grad
 
 EXACT_LIMIT_BITS = 20
@@ -45,9 +45,7 @@ class Rbm:
 
     def __post_init__(self):
         for name in ("w", "vis_bias", "hid_bias"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, read_only(getattr(self, name), np.float64))
         h, v = self.w.shape
         if self.vis_bias.shape != (v,):
             raise ShapeError(f"vis_bias must have shape ({v},), got {self.vis_bias.shape}")

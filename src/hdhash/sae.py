@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
+from .features import read_only
 
 DECORRELATION_MODES = ("batch", "per_sample")
 
@@ -78,9 +79,7 @@ class SaeLayer:
 
     def __post_init__(self):
         for name in ("enc_w", "enc_b", "dec_w", "dec_b"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, read_only(getattr(self, name), np.float64))
         q, p = self.enc_w.shape
         if self.enc_b.shape != (q,):
             raise ShapeError(f"enc_b must have shape ({q},), got {self.enc_b.shape}")

@@ -50,7 +50,7 @@ from .errors import (
     ShapeError,
     TruncationError,
 )
-from .features import FeatureMatrix, atomic_write, check_count
+from .features import FeatureMatrix, atomic_write, check_count, read_only
 
 CODES_MAGIC = b"HDHC"
 
@@ -66,7 +66,9 @@ _GRAM_TILE = 1 << 16
 
 @dataclass(frozen=True)
 class HammingIndex:
-    """Immutable collection of equal-length codes with ids and optional labels."""
+    """Equal-length codes with ids and optional labels. Read-only; shares a
+    caller's array of the stored dtype, so its checked pad bits and unique
+    ids hold only while the caller leaves that array alone."""
 
     words: np.ndarray
     n_bits: int
@@ -75,7 +77,7 @@ class HammingIndex:
 
     def __post_init__(self):
         words, n_bits = check_words(self.words, self.n_bits)
-        ids = np.asarray(self.ids, dtype=np.int64)
+        ids = read_only(self.ids, np.int64)
         if ids.shape != (words.shape[0],):
             raise ShapeError("ids must align with codes")
         # Strictly increasing ids (the common np.arange case) are unique
@@ -84,16 +86,13 @@ class HammingIndex:
             ordered = np.sort(ids)
             if np.any(ordered[1:] == ordered[:-1]):
                 raise DataError("ids must be unique")
-        words.flags.writeable = False
-        ids.flags.writeable = False
-        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "words", read_only(words, np.uint64))
         object.__setattr__(self, "n_bits", n_bits)
         object.__setattr__(self, "ids", ids)
         if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=np.int64)
+            labels = read_only(self.labels, np.int64)
             if labels.shape != (words.shape[0],):
                 raise ShapeError("labels must align with codes")
-            labels.flags.writeable = False
             object.__setattr__(self, "labels", labels)
 
     @property
@@ -156,7 +155,7 @@ def ground_truth(data: FeatureMatrix, query_rows, mode: str, n_gt: int = 0) -> n
         raise ShapeError("query_rows out of range")
     if mode == "label":
         if data.labels is None:
-            raise ConfigError("label ground truth requires a labeled dataset")
+            raise DataError("label ground truth requires a labeled dataset")
         relevant = data.labels[query_rows, None] == data.labels[None, :]
     else:
         if check_count("n_gt", n_gt) < 1:

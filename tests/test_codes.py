@@ -63,6 +63,15 @@ class TestPacking:
         assert np.array_equal(unpacked(code.words, n_bits), bits)
 
 
+    def test_words_are_a_read_only_copy(self):
+        # __hash__ and __eq__ read the words, so the code keeps its own.
+        words = np.zeros(1, np.uint64)
+        code = HashCode(8, words)
+        words[0] = 1
+        assert code.words[0] == 0 and not code.words.flags.writeable
+        assert code == HashCode(8, np.zeros(1, np.uint64))
+
+
 class TestHex:
     def test_word_order_most_significant_first(self):
         words = np.array([0x1, 0xAB], dtype=np.uint64)

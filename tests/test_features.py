@@ -20,7 +20,9 @@ from hdhash.features import (
     save_packed,
 )
 from hdhash.pipeline import TrainingConfig, init_model, save_model
-from hdhash.search import PrPoint, write_codes_file, write_pr_csv
+from hdhash.rbm import Rbm
+from hdhash.sae import SaeLayer
+from hdhash.search import HammingIndex, PrPoint, write_codes_file, write_pr_csv
 
 
 def write(path, text):
@@ -252,6 +254,15 @@ class TestPackedBinary:
         with pytest.raises(FormatError):
             load_features(str(p))
 
+    def test_signalling_nan_refused(self, tmp_path):
+        # Its float32 -> float64 cast raises the invalid flag.
+        p = tmp_path / "f.bin"
+        save_packed(FeatureMatrix(np.ones((2, 2))), p)
+        p.write_bytes(p.read_bytes()[:13] + np.uint32(0x7F800001).tobytes()
+                      + p.read_bytes()[17:])
+        with pytest.raises(FormatError, match="non-finite"):
+            load_features(str(p))
+
 
 def _failing_replace(src, dst):
     raise OSError(errno.EXDEV, "simulated failure at the final rename")
@@ -365,6 +376,23 @@ class TestNormalize:
         np.testing.assert_array_equal(out.values, [[-1, 0], [0, 0], [1, 0]])
 
 
+# Each entry gives a caller's array of the stored dtype and a function that
+# builds an object from it and returns the object's array.
+SHARED_ARRAYS = {
+    "FeatureMatrix.values": lambda: (np.zeros((3, 2)), lambda a: FeatureMatrix(a).values),
+    "FeatureMatrix.labels": lambda: (
+        np.zeros(3, np.int64), lambda a: FeatureMatrix(np.zeros((3, 2)), a).labels),
+    "NormStats": lambda: (np.zeros(2), lambda a: NormStats("identity", a, np.ones(2)).shift),
+    "SaeLayer": lambda: (np.zeros((3, 2)), lambda a: SaeLayer(
+        a, np.zeros(3), np.zeros((2, 3)), np.zeros(2)).enc_w),
+    "Rbm": lambda: (np.zeros((3, 2)), lambda a: Rbm(a, np.zeros(2), np.zeros(3)).w),
+    "HammingIndex.words": lambda: (
+        np.zeros((3, 1), np.uint64), lambda a: HammingIndex(a, 64, np.arange(3)).words),
+    "HammingIndex.ids": lambda: (np.arange(3, dtype=np.int64), lambda a: HammingIndex(
+        np.zeros((3, 1), np.uint64), 64, a).ids),
+}
+
+
 class TestFeatureMatrixInvariants:
     def test_label_length(self):
         with pytest.raises(ShapeError):
@@ -378,6 +406,14 @@ class TestFeatureMatrixInvariants:
         m = FeatureMatrix(np.ones((2, 2)))
         with pytest.raises(ValueError):
             m.values[0, 0] = 5.0
+
+    @pytest.mark.parametrize("name", sorted(SHARED_ARRAYS))
+    def test_caller_array_shared_and_left_writable(self, name):
+        caller, stored_of = SHARED_ARRAYS[name]()
+        stored = stored_of(caller)
+        assert np.shares_memory(stored, caller)  # no copy
+        assert not stored.flags.writeable
+        caller[0] = caller[0] + 1  # the caller's array stays writable
 
 
 class TestNormStats:

@@ -28,7 +28,8 @@ from hdhash.pipeline import (
     save_model,
     train,
 )
-from test_golden import digests, golden_config
+from hdhash import sae as sae_module
+from test_golden import digests, golden_config, golden_data
 
 def tiny_config(**overrides):
     base = dict(layer_dims=(4, 3), code_bits=2, epochs=1, batch_size=4, seed=1,
@@ -297,6 +298,18 @@ class TestRepeatLogic:
     def test_multi_repeat_bytes(self, overrides, want, tmp_path):
         got = digests(golden_config(**overrides), tmp_path)
         assert (got["model"], got["codes"], got["history"]) == want
+
+    def test_rbm_repeats_encode_the_fixed_stack_once(self, monkeypatch):
+        # Zero tolerances and two repeats: the one interior iteration runs two
+        # RBM repeats, which share one encoding of each of the 4 batches.
+        calls = []
+        encode = sae_module.encode_stack
+        monkeypatch.setattr(sae_module, "encode_stack",
+                            lambda *args: calls.append(1) or encode(*args))
+        config = golden_config(max_repeats_per_iter=2, outer_iters=3, epochs=4)
+        _, history = train(config, golden_data())
+        assert [rec.rbm_repeats for rec in history] == [0, 2, 0]
+        assert len(calls) == config.epochs
 
 
 class TestEncode:

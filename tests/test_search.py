@@ -466,7 +466,7 @@ class TestGroundTruth:
 
     def test_label_mode_needs_labels(self):
         data = FeatureMatrix(np.ones((3, 2)))
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataError):
             ground_truth(data, [0], "label")
 
 
