@@ -352,8 +352,11 @@ def train(config: TrainingConfig, data: FeatureMatrix) -> tuple[Model, list[Iter
         raise DataError("training data must be normalized into [-1, 1] first")
 
     model = init_model(config)
-    layers, head = model.sae.layers, model.rbm
-    eps_sae, eps_rbm = config.eps_sae, config.eps_rbm
+    layers = model.sae.layers
+    head = model.rbm
+
+    eps_sae = config.eps_sae
+    eps_rbm = config.eps_rbm
     history: list[IterationRecord] = []
     for t in range(1, config.outer_iters + 1):
         order = np.random.default_rng(_derive_seed(config.seed, t)).permutation(data.rows)
@@ -366,7 +369,8 @@ def train(config: TrainingConfig, data: FeatureMatrix) -> tuple[Model, list[Iter
                 eps_sae = 1e-3 * abs(r_t)
             if eps_rbm is None:
                 eps_rbm = 1e-3 * abs(j_t)
-        sae_reps = rbm_reps = 0
+        sae_reps = 0
+        rbm_reps = 0
         # Convergence pressure applies to interior iterations only.
         if 1 < t < config.outer_iters:
             basis = history[-1].sae_objective
